@@ -54,10 +54,11 @@ import (
 // still delivered, then the lanes close. Punctuation-only transactions
 // (commits not writing tbl) do not appear on the feed, matching ToStream.
 //
-// Unlike ToStream, the partitioned feed participates in garbage
-// collection: every undelivered commit is pinned into the context's GC
-// horizon (txn.PartitionedFeed), and each partition acknowledges a commit
-// only after emitting its rows — read at the commit's snapshot — so an
+// The partitioned feed participates in garbage collection (as ToStream,
+// its one-partition case, does): every undelivered commit is pinned into
+// the context's GC horizon (txn.PartitionedFeed), and each partition
+// acknowledges a commit only after emitting its rows — read at the
+// commit's snapshot — so an
 // aggressively collected table (TableOptions.GCEveryCommits, a hot key's
 // version array turning over) can never reclaim a version a lagging
 // partition still needs. A stalled consumer therefore pins the horizon

@@ -29,16 +29,17 @@ func rowSig(tp Tuple) string {
 	return tp.Key + "=" + string(tp.Value)
 }
 
-// feedEnv creates a one-table SI group over a mem store. VersionSlots is
-// oversized so no version is ever reclaimed mid-test: the feed reads rows
-// at historical snapshots, and lazy reclamation would race the (by
-// design asynchronous) feed consumers nondeterministically.
-func feedEnv(t *testing.T) (txn.Protocol, *txn.Table) {
+// feedEnv creates a one-table SI group over a mem store with the given
+// initial version-array capacity (0 = mvcc.DefaultSlots). The feeds read
+// rows at historical snapshots while Install-time reclamation runs
+// concurrently, so a small capacity checks that every feed pins the
+// commits it has not delivered yet.
+func feedEnv(t *testing.T, slots int) (txn.Protocol, *txn.Table) {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := kv.NewMem()
 	t.Cleanup(func() { store.Close() })
-	tbl, err := ctx.CreateTable("feedprop", store, txn.TableOptions{VersionSlots: 4096})
+	tbl, err := ctx.CreateTable("feedprop", store, txn.TableOptions{VersionSlots: slots})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +94,9 @@ func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scri
 // sequentialFeedSigs runs the script with the sequential spine and the
 // sequential TO_STREAM feed, returning the reference commit signatures
 // (elements grouped by their commit timestamp, in commit order).
-func sequentialFeedSigs(t *testing.T, script []scriptItem, punctuateN int) []commitSig {
+func sequentialFeedSigs(t *testing.T, script []scriptItem, punctuateN, slots int) []commitSig {
 	t.Helper()
-	p, tbl := feedEnv(t)
+	p, tbl := feedEnv(t, slots)
 	feedTop := New("feed-seq")
 	out, stopFeed := ToStream(feedTop, tbl, p)
 	collected := out.Collect()
@@ -154,9 +155,9 @@ func (w feedWiring) String() string {
 // stream, returning the observed commit signatures and validating the
 // punctuation framing. The downstream region applies an identity Map per
 // lane so the fused wiring actually carries per-lane consumer chains.
-func partitionedFeedSigs(t *testing.T, script []scriptItem, punctuateN, lanes, parts, window int, wiring feedWiring) []commitSig {
+func partitionedFeedSigs(t *testing.T, script []scriptItem, punctuateN, lanes, parts, window, slots int, wiring feedWiring) []commitSig {
 	t.Helper()
-	p, tbl := feedEnv(t)
+	p, tbl := feedEnv(t, slots)
 	feedTop := New("feed-part")
 	region, stopFeed := FromTablePartitioned(feedTop, tbl, parts, nil)
 	switch wiring {
@@ -211,6 +212,12 @@ func partitionedFeedSigs(t *testing.T, script []scriptItem, punctuateN, lanes, p
 	return sigs
 }
 
+// feedSlots are the version-array capacities the feed-equivalence suites
+// run at: the default, and 2 slots, where every third install into a key
+// reclaims or grows — a feed that read a commit's rows without pinning
+// that commit would meet a later value or a false delete.
+var feedSlots = []int{0, 2}
+
 // TestPropertyFeedEquivalence: for random scripts, every ingest lane
 // count × feed partition count must deliver exactly the sequential
 // TO_STREAM path's changes — same commit sequence, same per-commit
@@ -223,27 +230,25 @@ func TestPropertyFeedEquivalence(t *testing.T) {
 		seeds = 3
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 7000))
 			script := genScript(rng)
 			punctuateN := 1 + rng.Intn(7)
-			want := sequentialFeedSigs(t, script, punctuateN)
-			check := func(label string, got []commitSig) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d feed commits, want %d", label, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s: commit %d diverged:\n got %+v\nwant %+v", label, i, got[i], want[i])
+			for _, slots := range feedSlots {
+				want := sequentialFeedSigs(t, script, punctuateN, slots)
+				for _, lanes := range []int{1, 2, 4} {
+					for _, parts := range []int{1, 2, 4} {
+						got := partitionedFeedSigs(t, script, punctuateN, lanes, parts, 1, slots, wireMerge)
+						label := fmt.Sprintf("slots=%d lanes=%d parts=%d", slots, lanes, parts)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d feed commits, want %d", label, len(got), len(want))
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: commit %d diverged:\n got %+v\nwant %+v", label, i, got[i], want[i])
+							}
+						}
 					}
-				}
-			}
-			for _, lanes := range []int{1, 2, 4} {
-				for _, parts := range []int{1, 2, 4} {
-					got := partitionedFeedSigs(t, script, punctuateN, lanes, parts, 1, wireMerge)
-					check(fmt.Sprintf("lanes=%d parts=%d", lanes, parts), got)
 				}
 			}
 		})
@@ -262,30 +267,31 @@ func TestPropertyFeedEquivalenceFusedSpine(t *testing.T) {
 		seeds = 2
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed + 7700))
 			script := genScript(rng)
 			punctuateN := 1 + rng.Intn(7)
-			want := sequentialFeedSigs(t, script, punctuateN)
-			for _, window := range []int{1, 2, 8} {
-				for _, wiring := range []feedWiring{wireFused, wireRerouted} {
-					got := partitionedFeedSigs(t, script, punctuateN, 4, 4, window, wiring)
-					label := fmt.Sprintf("window=%d wiring=%s", window, wiring)
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d feed commits, want %d", label, len(got), len(want))
-					}
-					for i := range want {
-						// Absolute commit timestamps shift under a window
-						// (transaction N+1's Begin draws a timestamp before
-						// transaction N commits); what must match is the
-						// ordered per-commit row signature, with commit
-						// timestamps strictly ascending.
-						if got[i].rows != want[i].rows {
-							t.Fatalf("%s: commit %d rows diverged:\n got %+v\nwant %+v", label, i, got[i], want[i])
+			for _, slots := range feedSlots {
+				want := sequentialFeedSigs(t, script, punctuateN, slots)
+				for _, window := range []int{1, 2, 8} {
+					for _, wiring := range []feedWiring{wireFused, wireRerouted} {
+						got := partitionedFeedSigs(t, script, punctuateN, 4, 4, window, slots, wiring)
+						label := fmt.Sprintf("slots=%d window=%d wiring=%s", slots, window, wiring)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d feed commits, want %d", label, len(got), len(want))
 						}
-						if i > 0 && got[i].cts <= got[i-1].cts {
-							t.Fatalf("%s: commit timestamps not ascending: %d then %d", label, got[i-1].cts, got[i].cts)
+						for i := range want {
+							// Absolute commit timestamps shift under a window
+							// (transaction N+1's Begin draws a timestamp before
+							// transaction N commits); what must match is the
+							// ordered per-commit row signature, with commit
+							// timestamps strictly ascending.
+							if got[i].rows != want[i].rows {
+								t.Fatalf("%s: commit %d rows diverged:\n got %+v\nwant %+v", label, i, got[i], want[i])
+							}
+							if i > 0 && got[i].cts <= got[i-1].cts {
+								t.Fatalf("%s: commit timestamps not ascending: %d then %d", label, got[i-1].cts, got[i].cts)
+							}
 						}
 					}
 				}
@@ -299,7 +305,7 @@ func TestPropertyFeedEquivalenceFusedSpine(t *testing.T) {
 // merged feed is exactly its committed update sequence — the end-to-end
 // per-key order guarantee of the shared-nothing pipeline.
 func TestFeedPartitionedPerKeyOrder(t *testing.T) {
-	p, tbl := feedEnv(t)
+	p, tbl := feedEnv(t, 0)
 	const elements, keys, commitEvery = 4000, 13, 50
 	feedTop := New("feed-order")
 	region, stopFeed := FromTablePartitioned(feedTop, tbl, 4, nil)

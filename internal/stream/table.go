@@ -164,75 +164,46 @@ type TableChange struct {
 // element per changed row of tbl, in commit order. The element's Key is
 // the row key, Value/Num are the committed value (Num parsed when the
 // value is a decimal), Ts is the commit timestamp. The stream closes when
-// stop is called. Each commit's changes ship as one batch (split at
-// batchCap), so delivery stays prompt — a batch never waits for a later
-// commit.
+// stop is called, after the commits already queued are delivered. Each
+// commit's changes ship as one batch (split at batchCap), so delivery
+// stays prompt — a batch never waits for a later commit.
 //
-// The feed buffers up to feedBuf commits; if a slow consumer falls that
-// far behind, the committing thread blocks (backpressure) — a deliberate
-// choice over silently dropping committed changes.
+// The feed is the one-partition case of txn.Table.WatchPartitioned: it
+// buffers up to txn.DefaultFeedBuf commits and, if a slow consumer falls
+// that far behind, blocks the committing thread (backpressure) rather
+// than dropping committed changes. Every undelivered commit is pinned
+// into the GC horizon until its rows are read, exactly as on
+// FromTablePartitioned's partitions, so reading a row at its commit's
+// historical snapshot never meets a reclaimed version.
 func ToStream(t *Topology, tbl *txn.Table, p txn.Protocol) (*Stream, func()) {
-	const feedBuf = txn.DefaultFeedBuf
-	type commitEvent struct {
-		cts  txn.Timestamp
-		keys []string
+	feed, err := tbl.WatchPartitioned(1, 0, nil)
+	if err != nil {
+		panic(fmt.Sprintf("stream: ToStream: %v", err))
 	}
-	feed := make(chan commitEvent, feedBuf)
-	stopCh := make(chan struct{})
-	g := tbl.Group()
-	if g == nil {
-		panic(fmt.Sprintf("stream: table %q is not in a group", tbl.ID()))
-	}
-	g.Watch(func(cts txn.Timestamp, writes map[txn.StateID][]string) {
-		keys, ok := writes[tbl.ID()]
-		if !ok {
-			return
-		}
-		select {
-		case <-stopCh:
-		case feed <- commitEvent{cts: cts, keys: keys}:
-		}
-	})
-
+	events := feed.Partitions()[0]
 	out := t.newStream()
-	emit := func(ev commitEvent) {
-		b := getBatch()
-		for _, key := range ev.keys {
-			b = append(b, Element{Kind: KindData, Tuple: changeTuple(tbl, key, ev.cts)})
-			if len(b) >= batchCap {
-				out.ch <- b
-				b = getBatch()
-			}
-		}
-		if len(b) > 0 {
-			out.ch <- b
-		} else {
-			putBatch(b)
-		}
-	}
 	t.spawn("to_stream/"+string(tbl.ID()), func() {
 		defer close(out.ch)
 		<-t.start
-		for {
-			select {
-			case <-stopCh:
-				// Drain commits already queued so a consumer that stops
-				// the feed after its writers finished still sees every
-				// committed change.
-				for {
-					select {
-					case ev := <-feed:
-						emit(ev)
-					default:
-						return
-					}
+		for ev := range events {
+			b := getBatch()
+			for _, key := range ev.Keys {
+				b = append(b, Element{Kind: KindData, Tuple: changeTuple(tbl, key, ev.CTS)})
+				if len(b) >= batchCap {
+					out.ch <- b
+					b = getBatch()
 				}
-			case ev := <-feed:
-				emit(ev)
 			}
+			if len(b) > 0 {
+				out.ch <- b
+			} else {
+				putBatch(b)
+			}
+			// The commit's rows are read (and copied): release its pin.
+			feed.Ack(0)
 		}
 	})
-	return out, func() { close(stopCh) }
+	return out, feed.Stop
 }
 
 // changeTuple shapes one committed row change as a feed tuple — the

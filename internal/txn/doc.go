@@ -15,6 +15,8 @@
 //	                logical clock), Group and the commit-watcher hooks
 //	txn.go          Txn handles, write sets, snapshot pins
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
+//	baseimage.go    the pointer-free image of the rows recovered at
+//	                CreateGroup; objects are created on first write
 //	consistency.go  the shared commit machinery: per-state flags,
 //	                group-commit pipeline, multi-group slow path
 //	si.go           snapshot isolation (First-Committer-Wins)

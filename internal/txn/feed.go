@@ -365,8 +365,7 @@ func (t *Table) WatchPartitionedOpts(parts int, opts FeedOptions) (*PartitionedF
 		// Every partition gets a PRIVATE key slice — also at parts == 1,
 		// where handing the shared write-set order slice through would
 		// break FeedEvent's may-retain/may-modify contract for any other
-		// watcher (a sequential ToStream, a second feed) holding the same
-		// slice.
+		// watcher (another feed) holding the same slice.
 		buckets := make([][]string, parts)
 		if parts == 1 {
 			buckets[0] = append(make([]string, 0, len(ev.keys)), ev.keys...)

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -314,6 +315,11 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if name == "" || extract == nil {
 		return nil, fmt.Errorf("txn: CreateIndex needs a name and an extractor")
 	}
+	if strings.ContainsAny(name, "/\x00") {
+		// Posting rows live under "i/<table>/<name>/": a '/' in the name
+		// would overlap another index's range.
+		return nil, fmt.Errorf("txn: index name %q must not contain '/' or NUL", name)
+	}
 	g := t.group
 	if g == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
@@ -335,53 +341,47 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	// batch (same sync gate as commits: only where the backend has one).
 	batch := kv.NewBatch(0)
 	prefix := ix.rowPrefix()
-	end := append(append([]byte(nil), prefix...), 0xff)
-	if err := t.store.Scan(prefix, end, func(k, _ []byte) bool {
+	if err := t.store.Scan(prefix, prefixEnd(prefix), func(k, _ []byte) bool {
 		batch.Delete(k)
 		return true
 	}); err != nil {
 		return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 	}
 
+	// Under the quiesced latch the visible version of a row is its newest,
+	// so its commit timestamp is the object's LatestCTS (the recovered cts
+	// for a base-image row); installing the posting there makes it visible
+	// to every snapshot that can see the row — including ones pinned
+	// before the index existed.
 	rts := g.LastCTS()
-	var installErr error
+	backfill := func(key string, v []byte, cts Timestamp) error {
+		ikey, ok := extract(key, v)
+		if !ok {
+			return nil
+		}
+		if err := ix.install(ikey, key, cts, false, 0); err != nil {
+			return err
+		}
+		batch.Put(ix.appendRowKey(nil, ikey, key), nil)
+		return nil
+	}
+	var rows shardRows
 	for i := range t.shards {
 		sh := &t.shards[i]
-		sh.mu.RLock()
-		type pair struct {
-			k string
-			o *mvcc.Object
-		}
-		pairs := make([]pair, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, pair{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			v, ok := p.o.Read(rts)
-			if !ok {
-				continue
+		sh.collect(true, &rows)
+		for _, r := range rows.objs {
+			if v, ok := r.o.Read(rts); ok {
+				if err := backfill(r.key, v, r.o.LatestCTS()); err != nil {
+					return nil, err
+				}
 			}
-			ikey, ok := extract(p.k, v)
-			if !ok {
-				continue
-			}
-			// Under the quiesced latch the visible version is the newest,
-			// so its commit timestamp is the object's LatestCTS; installing
-			// the posting there makes it visible to every snapshot that can
-			// see the row — including ones pinned before the index existed.
-			if err := ix.install(ikey, p.k, p.o.LatestCTS(), false, 0); err != nil {
-				installErr = err
-				break
-			}
-			batch.Put(ix.appendRowKey(nil, ikey, p.k), nil)
 		}
-		if installErr != nil {
-			break
+		for _, off := range rows.base {
+			k, v, _ := sh.base.entry(off)
+			if err := backfill(k, v, t.baseCTS); err != nil {
+				return nil, err
+			}
 		}
-	}
-	if installErr != nil {
-		return nil, installErr
 	}
 	if batch.Len() > 0 {
 		sync := t.opts.SyncCommits && t.caps.SupportsSync
@@ -415,10 +415,7 @@ type rowImage struct {
 // key. o, when non-nil, is the key's already-resolved version object.
 func latestImage(tbl *Table, o *mvcc.Object, key string) ([]byte, bool) {
 	if o == nil {
-		o = tbl.object(key, false)
-	}
-	if o == nil {
-		return nil, false
+		return tbl.readVersion(key, mvcc.Infinity)
 	}
 	return o.Read(mvcc.Infinity)
 }

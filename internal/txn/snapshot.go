@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"sistream/internal/mvcc"
 )
 
 // Snapshot is a consistent analytical read view: one commit timestamp
@@ -227,28 +225,13 @@ func (s *Snapshot) Release() {
 }
 
 // scanStripe iterates the visible keys of shard stripe `stripe` of
-// `stripes` at rts: the shards i with i % stripes == stripe. Collect
-// pairs under the shard read lock, read versions outside it (RCU), as
-// SnapshotScan does.
+// `stripes` at rts: the shards i with i % stripes == stripe (all of them
+// for stripes == 1, which is Table.SnapshotScan).
 func scanStripe(t *Table, rts Timestamp, stripe, stripes int, fn func(key string, value []byte) bool) {
-	type pair struct {
-		k string
-		o *mvcc.Object
-	}
+	var rows shardRows
 	for i := stripe; i < tableShards; i += stripes {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		pairs := make([]pair, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, pair{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			if v, ok := p.o.Read(rts); ok {
-				if !fn(p.k, v) {
-					return
-				}
-			}
+		if !t.scanShard(i, rts, &rows, fn) {
+			return
 		}
 	}
 }

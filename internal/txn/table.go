@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +69,10 @@ type Table struct {
 	opts  TableOptions
 
 	shards [tableShards]tableShard
+	// baseCTS is the commit timestamp of the rows in the base image
+	// (baseimage.go): the group's recovered LastCTS, 0 when nothing was
+	// recovered. Set before CreateGroup returns, immutable afterwards.
+	baseCTS Timestamp
 
 	// Secondary indexes (Table.CreateIndex), copy-on-write so the
 	// group-commit leader reads the set with one atomic load per entry.
@@ -93,15 +98,26 @@ type Table struct {
 	idleStopOnce    sync.Once
 }
 
+// tableShard is one latch-striped slice of the table: the MVCC objects
+// of keys written since recovery, and the shard's part of the base image
+// holding the recovered rows. An object shadows the base row of its key;
+// shadowed counts those rows (both change only under mu's write lock).
 type tableShard struct {
-	mu sync.RWMutex
-	m  map[string]*mvcc.Object
+	mu       sync.RWMutex
+	m        map[string]*mvcc.Object
+	base     basePart
+	shadowed int
 }
 
 // CreateTable registers a transactional table named id over the given
 // base store. The table is empty in memory until its group is created,
-// which performs recovery of persisted rows.
+// which performs recovery of persisted rows. The id must not contain '/'
+// or NUL: rows are persisted under "s/<id>/", so a table "a/b" would
+// share table "a"'s key range.
 func (c *Context) CreateTable(id StateID, store kv.Store, opts TableOptions) (*Table, error) {
+	if strings.ContainsAny(string(id), "/\x00") {
+		return nil, fmt.Errorf("txn: table id %q must not contain '/' or NUL", id)
+	}
 	sh := &c.shards[registryIndex(string(id))]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -153,21 +169,23 @@ func (t *Table) metaKey() []byte {
 	return []byte("m/" + string(t.id) + "/lastcts")
 }
 
-func (t *Table) shard(key string) *tableShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &t.shards[h&(tableShards-1)]
-}
-
-// object returns the MVCC object for key, creating it when create is set.
-func (t *Table) object(key string, create bool) *mvcc.Object {
-	sh := t.shard(key)
+// lookup returns key's shard, its hash and its MVCC object (nil when
+// the key has none yet).
+func (t *Table) lookup(key string) (*tableShard, uint32, *mvcc.Object) {
+	h := keyHash(key)
+	sh := &t.shards[h&(tableShards-1)]
 	sh.mu.RLock()
 	o := sh.m[key]
 	sh.mu.RUnlock()
+	return sh, h, o
+}
+
+// object returns the MVCC object for key, creating it when create is set.
+// Creating the object of a key the base image holds promotes the row: the
+// object is seeded with the recovered version (aliasing the arena bytes)
+// and shadows the base entry from then on.
+func (t *Table) object(key string, create bool) *mvcc.Object {
+	sh, h, o := t.lookup(key)
 	if o != nil || !create {
 		return o
 	}
@@ -175,18 +193,31 @@ func (t *Table) object(key string, create bool) *mvcc.Object {
 	defer sh.mu.Unlock()
 	if o = sh.m[key]; o == nil {
 		o = mvcc.NewObject(t.opts.VersionSlots)
+		if v, ok := sh.base.get(h, key); ok {
+			o.InstallRecovered(t.baseCTS, v)
+			sh.shadowed++
+		}
 		sh.m[key] = o
 	}
 	return o
 }
 
-// readVersion returns the value of key visible at rts.
+// readVersion returns the value of key visible at rts: the object's
+// version when the key has one, otherwise its base-image row, which
+// carries the recovered commit timestamp. A key promoted between the two
+// lookups is safe to read from the base image: the promoting commit's cts
+// exceeds every snapshot that could have missed the object, so the
+// recovered version is still the one visible at rts (the same RCU
+// argument as mvcc's append-in-place install).
 func (t *Table) readVersion(key string, rts Timestamp) ([]byte, bool) {
-	o := t.object(key, false)
-	if o == nil {
+	sh, h, o := t.lookup(key)
+	if o != nil {
+		return o.Read(rts)
+	}
+	if rts < t.baseCTS {
 		return nil, false
 	}
-	return o.Read(rts)
+	return sh.base.get(h, key)
 }
 
 // ReadAt returns the value of key visible at snapshot rts, bypassing any
@@ -197,17 +228,75 @@ func (t *Table) ReadAt(key string, rts Timestamp) ([]byte, bool) {
 	return t.readVersion(key, rts)
 }
 
-// Keys returns the number of keys with at least one live or dead version
-// (diagnostic).
+// Keys returns the number of keys with at least one live or dead version,
+// unshadowed base-image rows included (diagnostic).
 func (t *Table) Keys() int {
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += len(sh.m) + sh.base.n - sh.shadowed
 		sh.mu.RUnlock()
 	}
 	return n
+}
+
+// shardRows is one shard's rows as collected under its read lock: the
+// MVCC objects, and the arena offsets of the base-image rows no object
+// shadows. Reads of both happen after the lock is released (RCU objects,
+// immutable arena).
+type shardRows struct {
+	objs []keyedObject
+	base []int
+}
+
+type keyedObject struct {
+	key string
+	o   *mvcc.Object
+}
+
+// collect fills rows with shard sh's objects and, when withBase is set,
+// its unshadowed base rows — both under one read lock, so a key promoted
+// concurrently is seen exactly once. rows' buffers are reused.
+func (sh *tableShard) collect(withBase bool, rows *shardRows) {
+	rows.objs, rows.base = rows.objs[:0], rows.base[:0]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for k, o := range sh.m {
+		rows.objs = append(rows.objs, keyedObject{k, o})
+	}
+	if !withBase {
+		return
+	}
+	for off := 0; off < len(sh.base.arena); {
+		k, _, next := sh.base.entry(off)
+		if sh.shadowed == 0 || sh.m[k] == nil {
+			rows.base = append(rows.base, off)
+		}
+		off = next
+	}
+}
+
+// scanShard calls fn for every row of shard i visible at rts, reporting
+// false once fn stopped the scan. A promotion racing the scan is safe for
+// the same reason as in readVersion.
+func (t *Table) scanShard(i int, rts Timestamp, rows *shardRows, fn func(key string, value []byte) bool) bool {
+	sh := &t.shards[i]
+	sh.collect(true, rows)
+	for _, r := range rows.objs {
+		if v, ok := r.o.Read(rts); ok && !fn(r.key, v) {
+			return false
+		}
+	}
+	if rts < t.baseCTS {
+		return true
+	}
+	for _, off := range rows.base {
+		if k, v, _ := sh.base.entry(off); !fn(k, v) {
+			return false
+		}
+	}
+	return true
 }
 
 // gcSweepSlices is the number of increments a full threshold-driven
@@ -232,16 +321,11 @@ func (t *Table) GC() int {
 func (t *Table) sweep(from, count int) int {
 	horizon := t.ctx.OldestActiveVersion()
 	n := 0
+	var rows shardRows
 	for j := 0; j < count; j++ {
-		sh := &t.shards[(from+j)%tableShards]
-		sh.mu.RLock()
-		objs := make([]*mvcc.Object, 0, len(sh.m))
-		for _, o := range sh.m {
-			objs = append(objs, o)
-		}
-		sh.mu.RUnlock()
-		for _, o := range objs {
-			n += o.GC(horizon)
+		t.shards[(from+j)%tableShards].collect(false, &rows)
+		for _, r := range rows.objs {
+			n += r.o.GC(horizon)
 		}
 	}
 	// Index postings age with their rows: each sweep also reclaims a
@@ -368,13 +452,15 @@ func (t *Table) GCStats() GCTableStats {
 }
 
 // ResidentVersions counts the currently occupied version slots across all
-// keys of the table — the live-version footprint the sweeper bounds.
-// O(keys); a diagnostic, not a hot-path call.
+// keys of the table — the live-version footprint the sweeper bounds. An
+// unshadowed base-image row counts as one version. O(keys); a
+// diagnostic, not a hot-path call.
 func (t *Table) ResidentVersions() int {
 	n := 0
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.RLock()
+		n += sh.base.n - sh.shadowed
 		for _, o := range sh.m {
 			n += o.LiveVersions()
 		}
@@ -407,40 +493,9 @@ func encodeTS(ts Timestamp) []byte {
 	return out
 }
 
-// loadCommitted scans the table's rows in the base store and seeds the
-// in-memory version store with one committed version per key at cts.
-func (t *Table) loadCommitted(cts Timestamp) error {
-	prefix := t.rowKey("")
-	end := append(append([]byte(nil), prefix...), 0xff)
-	return t.store.Scan(prefix, end, func(k, v []byte) bool {
-		key := string(k[len(prefix):])
-		t.object(key, true).InstallRecovered(cts, v)
-		return true
-	})
-}
-
 // SnapshotScan iterates all keys visible at snapshot rts in unspecified
 // order, calling fn until it returns false. It is the building block of
 // ad-hoc full-table queries (FROM on a table).
 func (t *Table) SnapshotScan(rts Timestamp, fn func(key string, value []byte) bool) {
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		type kv struct {
-			k string
-			o *mvcc.Object
-		}
-		pairs := make([]kv, 0, len(sh.m))
-		for k, o := range sh.m {
-			pairs = append(pairs, kv{k, o})
-		}
-		sh.mu.RUnlock()
-		for _, p := range pairs {
-			if v, ok := p.o.Read(rts); ok {
-				if !fn(p.k, v) {
-					return
-				}
-			}
-		}
-	}
+	scanStripe(t, rts, 0, 1, fn)
 }
