@@ -22,9 +22,10 @@
 //     plus earlier same-batch admissions), persists one coalesced batch
 //     per base store — a single fsync amortized over the whole batch —
 //     installs all versions and publishes the group's LastCTS once.
-//     Transactions spanning groups fall back to taking every involved
-//     group's commit latch in canonical order, so cross-group commits
-//     stay deadlock-free and atomic.
+//     A transaction spanning groups is a batch of one through the same
+//     phases, run under every involved group's commit latch taken in
+//     canonical order, so cross-group commits stay deadlock-free and
+//     atomic.
 //   - Per-key version arrays are append-in-place RCU: versions ascend by
 //     commit timestamp, a new version is published by one atomic store of
 //     the element count and readers scan lock-free — a snapshot read

@@ -126,7 +126,10 @@ func (p *BOCC) CommitState(tx *Txn, tbl *Table) error {
 	if err := requireGroup(tbl); err != nil {
 		return err
 	}
-	return commitState(tx, tbl, func() error { return p.finishCommit(tx) })
+	if coord, err := flagState(tx, tbl); !coord {
+		return err
+	}
+	return p.finishCommit(tx)
 }
 
 // Commit implements Protocol.

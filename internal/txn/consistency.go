@@ -150,10 +150,10 @@ func bufferWriteBatch(tx *Txn, tbl *Table, ops []WriteOp, pin bool) (int, error)
 
 // storeBatch is the per-base-store coalesced durability batch built by a
 // commit: all row writes plus the LastCTS watermark, applied with one
-// (optionally synchronous) Apply. The group-commit leader caches one per
-// store on the Group (leader-owned under commitMu), so the ops array and
-// the row-key arena are reused across tenures instead of reallocated per
-// batch.
+// (optionally synchronous) Apply. commitBatch caches one per store on the
+// first group of its batch (owned under that group's commitMu), so the ops
+// array and the row-key arena are reused across batches instead of
+// reallocated per batch.
 type storeBatch struct {
 	store kv.Store
 	batch *kv.Batch
@@ -192,39 +192,6 @@ func recycleTxn(tx *Txn, orderRetained bool) {
 	tx.mu.Unlock()
 }
 
-// commitState implements the per-state flag protocol. finishFn runs the
-// protocol-specific global commit when this call flipped the last flag.
-func commitState(tx *Txn, tbl *Table, finishFn func() error) error {
-	tx.mu.Lock()
-	if tx.finished.Load() {
-		tx.mu.Unlock()
-		return ErrFinished
-	}
-	e, ok := tx.states[tbl.id]
-	if !ok {
-		// Committing a state the transaction never touched: register an
-		// empty entry so the accounting still works (a TO_TABLE operator
-		// may see only punctuations for some batch).
-		e = tx.entry(tbl)
-	}
-	if e.status == StatusAbort {
-		tx.mu.Unlock()
-		return ErrAborted
-	}
-	e.status = StatusCommit
-	for _, other := range tx.states {
-		if other.status != StatusCommit {
-			// Not the last flag: another operator will coordinate.
-			tx.mu.Unlock()
-			return nil
-		}
-	}
-	// This caller flipped the last flag: it becomes the coordinator
-	// (Section 4.3) and must perform the global commit.
-	tx.mu.Unlock()
-	return finishFn()
-}
-
 // commitAll flags every touched state and runs the global commit.
 func commitAll(tx *Txn, finishFn func() error) error {
 	tx.mu.Lock()
@@ -243,11 +210,12 @@ func commitAll(tx *Txn, finishFn func() error) error {
 	return finishFn()
 }
 
-// flagState flips tx's commit flag for tbl without running the global
-// commit, reporting whether this flip completed the transaction's flag set
-// (the caller became the coordinator). It is commitState with the
-// finishFn decoupled — the chain commit path flags several transactions
-// before performing their global commits as one batch.
+// flagState implements the per-state flag protocol: it flips tx's commit
+// flag for tbl and reports whether this flip completed the transaction's
+// flag set. The caller that flips the last flag becomes the coordinator
+// (Section 4.3) and must run the global commit; CommitState does so at
+// once, the chain commit path flags several transactions first and then
+// commits them as one batch.
 func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -256,6 +224,9 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 	}
 	e, ok := tx.states[tbl.id]
 	if !ok {
+		// Committing a state the transaction never touched: register an
+		// empty entry so the accounting still works (a TO_TABLE operator
+		// may see only punctuations for some batch).
 		e = tx.entry(tbl)
 	}
 	if e.status == StatusAbort {
@@ -276,9 +247,9 @@ func flagState(tx *Txn, tbl *Table) (coordinator bool, err error) {
 // consecutive runs that commit into the SAME single topology group as one
 // multi-request pipeline submission (groupCommitMany) — one leader tenure
 // and one coalesced durability batch for the whole run. Transactions
-// spanning groups, or with nothing written, break the run and commit
-// individually, preserving chain order (and thus ascending commit
-// timestamps per key) throughout. admitFor supplies the protocol's
+// spanning groups break the run and commit individually (installCommit),
+// and transactions with nothing written finish inline, preserving chain
+// order (and thus ascending commit timestamps per key) throughout. admitFor supplies the protocol's
 // admission check per transaction (nil for none); after, when non-nil,
 // runs once per coordinated transaction after its commit attempt (S2PL
 // releases its locks there).
@@ -336,16 +307,7 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn
 			}
 		}
 		groups := txGroups(c.tx)
-		switch len(groups) {
-		case 0:
-			// Nothing written: finish inline (no timestamp consumed, so
-			// order relative to the run is immaterial).
-			p.finish(c.tx)
-			recycleTxn(c.tx, false)
-			if after != nil {
-				after(c.tx)
-			}
-		case 1:
+		if len(groups) == 1 {
 			g := groups[0]
 			if runGroup != nil && g != runGroup {
 				flush()
@@ -353,29 +315,39 @@ func (p *protocolBase) commitChain(txs []*Txn, tbls []*Table, admitFor func(*Txn
 			runGroup = g
 			runReqs = append(runReqs, &commitReq{tx: c.tx, admit: admit, ready: make(chan struct{})})
 			runCoords = append(runCoords, c)
-		default:
+			continue
+		}
+		if len(groups) > 1 {
 			flush()
-			errs[c.txIdx][c.tblIdx] = p.multiGroupCommit(groups, c.tx, admit)
-			if after != nil {
-				after(c.tx)
-			}
+		}
+		// Spanning groups, or nothing written (no timestamp consumed, so
+		// order relative to the run is immaterial): commit on its own.
+		errs[c.txIdx][c.tblIdx] = p.installCommit(c.tx, admit)
+		if after != nil {
+			after(c.tx)
 		}
 	}
 	flush()
 	return errs
 }
 
-// groupCommitMany submits several already-ordered commit requests of one
-// chain to g's pipeline as a unit: all requests enter the queue in a
-// single append, so one leader tenure drains them together (the whole
-// point of cross-transaction batching — one coalesced store batch and one
-// fsync for the run). The caller then leads or parks exactly as a single
-// committer does in groupCommit, handling the leadership baton on any of
-// its requests.
+// groupCommitMany runs the group-commit pipeline for already-ordered
+// commit requests confined to one topology group — a single transaction,
+// or a run of one chain. All requests enter the queue in a single append,
+// so one leader tenure drains them together (one coalesced store batch
+// and one fsync for the run). If a batch leader is already active the
+// committer nudges it (wake) and parks on its requests' ready channels —
+// either the leader commits them in its batch, or it hands the parked
+// committer the leadership baton on retirement (promoted). Otherwise the
+// committer claims leadership itself. A leader's tenure is exactly ONE
+// batch (leadGroup), so a committer is never conscripted into serving
+// other transactions indefinitely — in particular an S2PL committer's row
+// locks are released after one batch, as with the original per-commit
+// latch.
 func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	if err := g.Err(); err != nil {
-		// Fail-stop fast path: the group is poisoned, nothing may be
-		// enqueued. Every request is decided here with the sticky error.
+		// Fail-stop fast path: a poisoned group rejects commits before
+		// they queue (commitBatch re-checks for requests that raced in).
 		p.failReqs(reqs, err)
 		return
 	}
@@ -389,6 +361,8 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 	if lead {
 		p.leadGroup(g)
 	} else {
+		// Nudge a collecting leader. The send never blocks (capacity 1);
+		// a stale token at worst costs the leader one extra queue check.
 		select {
 		case g.wake <- struct{}{}:
 		default:
@@ -399,7 +373,7 @@ func (p *protocolBase) groupCommitMany(g *Group, reqs []*commitReq) {
 		if req.promoted {
 			// Retiring leader handed us the baton with this request (and
 			// therefore every later one of ours) still pending: lead the
-			// batch containing it; leaderCommit decides it synchronously.
+			// batch containing it; commitBatch decides it synchronously.
 			req.promoted = false
 			req.ready = make(chan struct{})
 			p.leadGroup(g)
@@ -483,26 +457,9 @@ type commitReq struct {
 // commitOverlay exposes the writes admitted earlier in the same
 // group-commit batch. Admission checks (First-Committer-Wins) must see
 // those writes even though their versions are not installed yet —
-// otherwise two same-batch writers of one key would both pass. Outside a
-// batch (multi-group slow path) the overlay is nil and latestCTS falls
-// back to the installed version store alone.
+// otherwise two same-batch writers of one key would both pass.
 type commitOverlay struct {
 	pending map[*Table]map[string]Timestamp
-}
-
-// latestCTS returns the newest commit timestamp of key in tbl, combining
-// installed versions with writes admitted earlier in this batch.
-func (ov *commitOverlay) latestCTS(tbl *Table, key string) Timestamp {
-	var latest Timestamp
-	if o := tbl.object(key, false); o != nil {
-		latest = o.LatestCTS()
-	}
-	if ov != nil {
-		if ts := ov.pending[tbl][key]; ts > latest {
-			latest = ts
-		}
-	}
-	return latest
 }
 
 // record notes an admitted write at cts for later admission checks in the
@@ -520,24 +477,37 @@ func (ov *commitOverlay) record(tbl *Table, key string, cts Timestamp) {
 }
 
 // installCommit is the coordinator's global commit, shared by all
-// protocols. Transactions whose states all belong to one topology group —
-// the continuous-query common case — go through the group-commit pipeline
-// (groupCommit); transactions spanning groups take the slow path under
-// the commit latches of every involved group (multiGroupCommit). The
-// caller (via commitState/commitAll) has already established that it is
-// the coordinator.
+// protocols. A transaction whose states all belong to one topology group
+// — the continuous-query common case — joins that group's group-commit
+// pipeline (groupCommitMany). A transaction spanning groups is a batch of
+// one through the same phases (commitBatch), run under the commit latches
+// of every involved group taken in canonical ID order. The caller (via
+// flagState/commitAll) has already established that it is the
+// coordinator.
 func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) error {
 	groups := txGroups(tx)
-	switch len(groups) {
-	case 0:
+	if len(groups) == 0 {
 		// Nothing written (read-only or empty transaction).
 		p.finish(tx)
 		recycleTxn(tx, false)
 		return nil
-	case 1:
-		return p.groupCommit(groups[0], tx, admit)
 	}
-	return p.multiGroupCommit(groups, tx, admit)
+	req := &commitReq{tx: tx, admit: admit, ready: make(chan struct{})}
+	if len(groups) == 1 {
+		p.groupCommitMany(groups[0], []*commitReq{req})
+		return req.err
+	}
+	lockGroups(groups)
+	p.commitBatch(groups, []*commitReq{req})
+	unlockGroups(groups)
+	// Threshold-driven sweeps run after the latches are released so they
+	// never extend the cross-group critical section.
+	for _, g := range groups {
+		for _, tbl := range g.tables {
+			tbl.maybeGC()
+		}
+	}
+	return req.err
 }
 
 // groupCommitLinger bounds how long a batch leader collects followers for
@@ -547,53 +517,6 @@ func (p *protocolBase) installCommit(tx *Txn, admit func(*commitOverlay) error) 
 // pressure the timer never fires; it is the fallback that bounds the wait
 // when the offered load drops below the previous batch size.
 const groupCommitLinger = 200 * time.Microsecond
-
-// groupCommit runs the group-commit pipeline for a transaction confined
-// to one topology group. The committer enqueues its validated request; if
-// a batch leader is already active the committer nudges it (wake) and
-// parks on the request's ready channel — either the leader commits the
-// request in its batch, or it hands the parked committer the leadership
-// baton on retirement (promoted). Otherwise the committer claims
-// leadership itself. A leader's tenure is exactly ONE batch (leadGroup),
-// so a committer is never conscripted into serving other transactions
-// indefinitely — in particular an S2PL committer's row locks are released
-// after one batch, as with the original per-commit latch.
-func (p *protocolBase) groupCommit(g *Group, tx *Txn, admit func(*commitOverlay) error) error {
-	if err := g.Err(); err != nil {
-		// Fail-stop fast path: a poisoned group rejects commits before
-		// they queue (leaderCommit re-checks for requests that raced in).
-		p.abortLocked(tx)
-		return err
-	}
-	req := &commitReq{tx: tx, admit: admit, ready: make(chan struct{})}
-	g.qmu.Lock()
-	g.pending = append(g.pending, req)
-	if g.leaderActive {
-		g.qmu.Unlock()
-		// Nudge a collecting leader. The send never blocks (capacity 1);
-		// a stale token at worst costs the leader one extra queue check.
-		select {
-		case g.wake <- struct{}{}:
-		default:
-		}
-		<-req.ready
-		if !req.promoted {
-			return req.err
-		}
-		// Retiring leader handed us the baton: our request is still
-		// pending, so lead the batch that will contain it.
-		req.promoted = false
-		req.ready = make(chan struct{})
-	} else {
-		g.leaderActive = true
-		g.qmu.Unlock()
-	}
-
-	p.leadGroup(g)
-	// The leader's own request was part of the batch it led; err is set
-	// (and ready closed) by leaderCommit.
-	return req.err
-}
 
 // leadGroup serves one leader tenure: collect a batch, commit it, then
 // hand leadership to a parked committer (if any are pending) or release
@@ -647,7 +570,7 @@ func (p *protocolBase) leadGroup(g *Group) {
 	default:
 	}
 	g.batchTarget = len(batch)
-	p.leaderCommit(g, batch)
+	p.commitBatch([]*Group{g}, batch)
 
 	// Retire: pass the baton to a parked committer, or release.
 	g.qmu.Lock()
@@ -670,8 +593,11 @@ func (p *protocolBase) leadGroup(g *Group) {
 	}
 }
 
-// leaderCommit commits one batch of enqueued transactions. Caller holds
-// g.commitMu. The pipeline:
+// commitBatch is the engine's one commit pipeline: it commits one batch
+// of enqueued transactions. Caller holds the commit latch of every group
+// in gs, which is in canonical ID order: a group-commit leader passes its
+// own group and the batch it drained, and a transaction spanning groups
+// is a batch of one under the latches of all its groups. The phases:
 //
 //  1. snapshot the GC horizon, then reserve a contiguous commit-timestamp
 //     range — one timestamp per request, assigned in arrival order. The
@@ -682,24 +608,30 @@ func (p *protocolBase) leadGroup(g *Group) {
 //     First-Committer-Wins sees writes of earlier same-batch admissions;
 //     a rejected request aborts immediately with no state modified.
 //  3. durability: ONE coalesced batch per distinct base store — all
-//     admitted rows plus one LastCTS watermark per touched table — with a
-//     single (optionally synchronous) Apply. This is where group commit
-//     pays: N transactions share one fsync. A failed store aborts the
-//     whole batch; nothing was installed yet, so memory is untouched and
-//     partially persisted stores reconcile at recovery via the watermark
-//     (see CreateGroup).
+//     admitted rows and index postings plus one LastCTS watermark per
+//     touched table — with a single (optionally synchronous) Apply. This
+//     is where group commit pays: N transactions share one fsync. A
+//     failed store aborts the whole batch; nothing was installed yet, so
+//     memory is untouched and partially persisted stores reconcile at
+//     recovery via the watermark (see CreateGroup).
 //  4. install all versions in commit-timestamp order (cannot fail:
 //     version arrays grow on demand and installers of one group are
 //     serialized by the latch).
-//  5. publish LastCTS once for the batch — the single atomic store that
-//     makes every member transaction visible, completely or not at all —
-//     then notify watchers per transaction in commit order.
-func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
-	if err := g.Err(); err != nil {
-		// The group was poisoned after these requests passed the enqueue
-		// fast path; decide them all with the sticky error.
-		p.failReqs(batch, err)
-		return
+//  5. publish LastCTS once per group for the batch — the single atomic
+//     store that makes every member transaction visible, completely or
+//     not at all; a spanning commit is published to every involved group
+//     under all their latches, so a cross-group snapshot cut sees it
+//     everywhere or nowhere — then notify each group's watchers per
+//     transaction in commit order, with the writes of that group's tables.
+func (p *protocolBase) commitBatch(gs []*Group, batch []*commitReq) {
+	for _, g := range gs {
+		if err := g.Err(); err != nil {
+			// A poisoned group anywhere in gs rejects the whole batch (the
+			// requests may have passed the enqueue fast path before the
+			// failure); decide them all with the sticky error.
+			p.failReqs(batch, err)
+			return
+		}
 	}
 	tenureStart := time.Now()
 	horizon := p.ctx.OldestActiveVersion()
@@ -746,10 +678,20 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 		return
 	}
 	admitDone := time.Now()
+	// failAll is the fail-stop verdict of phases 3 and 4: every group of
+	// the batch is poisoned with cause, and every admitted request is
+	// decided with the sticky error (wrapping ErrGroupFailed and cause).
+	failAll := func(cause error) {
+		for _, g := range gs {
+			g.fail(cause)
+		}
+		p.failReqs(admitted, gs[0].Err())
+	}
 
 	// Phase 3: durability, one coalesced batch per distinct base store.
 	// The scratch batches (ops array, row-key arena) are cached on the
-	// group across tenures, so coalescing allocates nothing steady-state.
+	// first group across tenures, so coalescing allocates nothing
+	// steady-state; its latch is held, so the cache is ours.
 	var (
 		batches []*storeBatch
 		tables  []*Table
@@ -767,7 +709,7 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 				return sb
 			}
 		}
-		sb := g.storeScratch(st)
+		sb := gs[0].storeScratch(st)
 		batches = append(batches, sb)
 		return sb
 	}
@@ -869,23 +811,21 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 			for i, b := range batches {
 				stores[i] = b.store
 			}
-			g.fail(cause)
 			p.ctx.failGroupsOnStores(stores, cause)
-			p.failReqs(admitted, g.Err())
+			failAll(cause)
 			return
 		}
 	}
 	syncDone := time.Now()
-	g.syncHist.Record(syncDone.Sub(admitDone).Nanoseconds())
 
 	// Phase 4: in-memory version install, ascending commit timestamps.
 	// Admission already resolved most objects (op.obj); only keys created
 	// by this very batch still need the registry. Install cannot fail in
 	// normal operation (version arrays grow on demand, installers are
 	// serialized by the latch); an invariant trip is handled fail-stop —
-	// the group is poisoned with the diagnostic and the whole batch stays
-	// invisible (LastCTS is never published) — instead of killing the
-	// embedding process.
+	// every group of the batch is poisoned with the diagnostic and the
+	// whole batch stays invisible (LastCTS is never published) — instead
+	// of killing the embedding process.
 	for ri, req := range admitted {
 		for _, e := range req.entries {
 			for i, key := range e.order {
@@ -895,8 +835,7 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 					o = e.table.object(key, true)
 				}
 				if err := o.Install(req.cts, op.value, op.delete, horizon); err != nil {
-					g.fail(fmt.Errorf("txn: install invariant violated: %w", err))
-					p.failReqs(admitted, g.Err())
+					failAll(fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
 			}
@@ -906,230 +845,56 @@ func (p *protocolBase) leaderCommit(g *Group, batch []*commitReq) {
 			// snapshot sees the index mutation exactly when it sees the row.
 			for _, d := range reqDeltas[ri] {
 				if err := d.ix.install(d.ikey, d.pkey, req.cts, d.del, horizon); err != nil {
-					g.fail(fmt.Errorf("txn: install invariant violated: %w", err))
-					p.failReqs(admitted, g.Err())
+					failAll(fmt.Errorf("txn: install invariant violated: %w", err))
 					return
 				}
 			}
 		}
 	}
 
-	// Phase 5: atomic visibility for the whole batch, then per-commit
-	// watcher notifications (TO_STREAM triggers) in commit order.
-	g.lastCTS.Store(maxCTS)
-	g.commitTxns.Add(uint64(len(admitted)))
-	g.commitBatches.Add(1)
-	// Install latency excludes the durability Apply — it is the in-memory
-	// half of the batch (admission + version install + publish). Watcher
-	// notifications are excluded too: they run downstream consumers'
-	// code and can block on feed backpressure, which is occupancy, not
-	// commit cost.
-	g.installHist.Record(admitDone.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds())
-	g.batchEWMA.Observe(float64(len(admitted)))
+	// Phase 5: atomic visibility for the whole batch in every group, then
+	// per-commit watcher notifications (TO_STREAM triggers) in commit
+	// order. Install latency excludes the durability Apply — it is the
+	// in-memory half of the batch (admission + version install +
+	// publish). Watcher notifications are excluded too: they run
+	// downstream consumers' code and can block on feed backpressure,
+	// which is occupancy, not commit cost.
+	syncNs := syncDone.Sub(admitDone).Nanoseconds()
+	installNs := admitDone.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds()
+	for _, g := range gs {
+		g.lastCTS.Store(maxCTS)
+		g.commitTxns.Add(uint64(len(admitted)))
+		g.commitBatches.Add(1)
+		g.syncHist.Record(syncNs)
+		g.installHist.Record(installNs)
+		g.batchEWMA.Observe(float64(len(admitted)))
+	}
 	nowNs := syncDone.UnixNano()
 	for _, tbl := range tables {
 		tbl.lastCommitNanos.Store(nowNs)
 	}
 	for _, req := range admitted {
-		var writes map[StateID][]string
-		for _, e := range req.entries {
-			if len(e.order) == 0 {
-				continue
-			}
-			e.table.commitsSinceGC.Add(1)
-			if writes == nil {
-				writes = make(map[StateID][]string)
-			}
-			writes[e.table.id] = e.order
-		}
 		retained := false
-		if writes != nil {
-			retained = g.notify(req.cts, writes)
+		for _, g := range gs {
+			var writes map[StateID][]string
+			for _, e := range req.entries {
+				if e.table.group != g || len(e.order) == 0 {
+					continue
+				}
+				e.table.commitsSinceGC.Add(1)
+				if writes == nil {
+					writes = make(map[StateID][]string)
+				}
+				writes[e.table.id] = e.order
+			}
+			if writes != nil && g.notify(req.cts, writes) {
+				retained = true
+			}
 		}
 		p.finish(req.tx)
 		recycleTxn(req.tx, retained)
 		close(req.ready)
 	}
-}
-
-// multiGroupCommit is the slow path for transactions spanning topology
-// groups: it takes the commit latch of every involved group in canonical
-// ID order (quiescing their pipelines — a leader holds its group's latch
-// for the whole batch) and commits the single transaction exactly as the
-// original protocol did: admit, one durability batch per store, install,
-// then one LastCTS publish per group so the cross-group commit is
-// all-or-nothing for snapshot readers of any involved group.
-func (p *protocolBase) multiGroupCommit(groups []*Group, tx *Txn, admit func(*commitOverlay) error) error {
-	lockGroups(groups)
-	defer func() {
-		unlockGroups(groups)
-		// Threshold-driven sweeps run after the latches are released so
-		// they never extend the cross-group critical section.
-		for _, g := range groups {
-			for _, tbl := range g.tables {
-				tbl.maybeGC()
-			}
-		}
-	}()
-
-	// Fail-stop: a poisoned group anywhere in the span rejects the whole
-	// cross-group commit (checked under the latches so no failure can
-	// race in between check and install).
-	for _, g := range groups {
-		if err := g.Err(); err != nil {
-			p.abortLocked(tx)
-			return err
-		}
-	}
-
-	if admit != nil {
-		if err := admit(nil); err != nil {
-			p.abortLocked(tx)
-			return err
-		}
-	}
-
-	tenureStart := time.Now()
-	entries := sortedEntries(tx)
-	horizon := p.ctx.OldestActiveVersion()
-
-	cts := p.ctx.next()
-	if ch := tx.chain; ch != nil {
-		ch.raise(cts)
-	}
-
-	// Durability precedes the in-memory install so a failed store leaves
-	// no memory state behind: the transaction aborts as if it never
-	// happened.
-	type storeBatch struct {
-		store kv.Store
-		batch *kv.Batch
-		sync  bool
-	}
-	var batches []*storeBatch
-	var deltas []indexDelta
-	byStore := map[kv.Store]*storeBatch{}
-	for _, e := range entries {
-		sb, ok := byStore[e.table.store]
-		if !ok {
-			sb = &storeBatch{store: e.table.store, batch: kv.NewBatch(len(e.order) + 1)}
-			byStore[e.table.store] = sb
-			batches = append(batches, sb)
-		}
-		ixs := e.table.indexSet()
-		for i, key := range e.order {
-			op := &e.ops[i]
-			if op.delete {
-				sb.batch.Delete(e.table.rowKey(key))
-			} else {
-				sb.batch.Put(e.table.rowKey(key), op.value)
-			}
-			if len(ixs) > 0 {
-				// Single transaction: the pre-image is always the installed
-				// state (a write set holds one op per key). Posting rows join
-				// the same per-store durability batch as the rows.
-				oldVal, hadOld := latestImage(e.table, op.obj, key)
-				start := len(deltas)
-				deltas = indexDeltasFor(deltas, ixs, key, op.value, op.delete, oldVal, hadOld)
-				for _, d := range deltas[start:] {
-					if d.del {
-						sb.batch.Delete(d.ix.appendRowKey(nil, d.ikey, d.pkey))
-					} else {
-						sb.batch.Put(d.ix.appendRowKey(nil, d.ikey, d.pkey), nil)
-					}
-				}
-			}
-		}
-		sb.batch.Put(e.table.metaKey(), encodeTS(cts))
-		// Same capability gate as the single-group leader: no sync point
-		// over backends that do not support one.
-		if e.table.opts.SyncCommits && e.table.caps.SupportsSync {
-			sb.sync = true
-		}
-	}
-	applyStart := time.Now()
-	for _, sb := range batches {
-		if err := sb.store.Apply(sb.batch, sb.sync); err != nil {
-			// No version was installed yet, so aborting here is clean in
-			// memory — but stores applied earlier in this loop already
-			// hold the batch durably (the multi-store tear window), so
-			// every group with a table on any touched store is poisoned:
-			// only restart + recovery (per-store watermark, see
-			// CreateGroup) can reconcile the divergence.
-			cause := fmt.Errorf("txn: commit durability: %w", err)
-			stores := make([]kv.Store, len(batches))
-			for i, b := range batches {
-				stores[i] = b.store
-			}
-			p.ctx.failGroupsOnStores(stores, cause)
-			p.abortLocked(tx)
-			return cause
-		}
-	}
-	syncDone := time.Now()
-
-	// In-memory version install. An invariant trip is fail-stop: every
-	// involved group is poisoned with the diagnostic and the commit stays
-	// invisible (no LastCTS publish), instead of panicking the process.
-	for _, e := range entries {
-		for i, key := range e.order {
-			op := &e.ops[i]
-			if err := e.table.object(key, true).Install(cts, op.value, op.delete, horizon); err != nil {
-				cause := fmt.Errorf("txn: install invariant violated: %w", err)
-				for _, g := range groups {
-					g.fail(cause)
-				}
-				p.abortLocked(tx)
-				return fmt.Errorf("%w: %w", ErrGroupFailed, cause)
-			}
-		}
-	}
-	for _, d := range deltas {
-		if err := d.ix.install(d.ikey, d.pkey, cts, d.del, horizon); err != nil {
-			cause := fmt.Errorf("txn: install invariant violated: %w", err)
-			for _, g := range groups {
-				g.fail(cause)
-			}
-			p.abortLocked(tx)
-			return fmt.Errorf("%w: %w", ErrGroupFailed, cause)
-		}
-	}
-
-	// Atomic visibility, then commit watchers per group. The slow path is
-	// a batch of one: each involved group records the same durability and
-	// install latencies under its own profile.
-	syncNs := syncDone.Sub(applyStart).Nanoseconds()
-	installNs := applyStart.Sub(tenureStart).Nanoseconds() + time.Since(syncDone).Nanoseconds()
-	retained := false
-	for _, g := range groups {
-		g.lastCTS.Store(cts)
-		g.commitTxns.Add(1)
-		g.commitBatches.Add(1)
-		g.syncHist.Record(syncNs)
-		g.installHist.Record(installNs)
-		g.batchEWMA.Observe(1)
-	}
-	nowNs := syncDone.UnixNano()
-	for _, g := range groups {
-		var writes map[StateID][]string
-		for _, e := range entries {
-			if e.table.group != g || len(e.order) == 0 {
-				continue
-			}
-			e.table.commitsSinceGC.Add(1)
-			e.table.lastCommitNanos.Store(nowNs)
-			if writes == nil {
-				writes = make(map[StateID][]string)
-			}
-			writes[e.table.id] = e.order
-		}
-		if writes != nil && g.notify(cts, writes) {
-			retained = true
-		}
-	}
-	p.finish(tx)
-	recycleTxn(tx, retained)
-	return nil
 }
 
 // abortLocked marks the transaction aborted without needing group locks

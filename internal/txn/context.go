@@ -238,9 +238,10 @@ type Group struct {
 	// recorded verdict — or with the leadership baton, when the retiring
 	// leader leaves pending requests behind (one-batch tenures keep any
 	// single committer from serving the queue indefinitely). commitMu is
-	// the exclusivity latch: a leader holds it for its tenure, and
-	// multi-group transactions take the commitMu of every involved group
-	// in canonical order instead of queueing (see installCommit). qmu
+	// the exclusivity latch: a leader holds it for its tenure, and a
+	// transaction spanning groups takes the commitMu of every involved
+	// group in canonical order instead of queueing, then runs the same
+	// commitBatch as a batch of one (see installCommit). qmu
 	// guards pending, leaderActive and the queue handoff only and is
 	// never held across I/O.
 	commitMu     sync.Mutex
@@ -250,8 +251,9 @@ type Group struct {
 	wake         chan struct{} // nudges a leader collecting its next batch
 	batchTarget  int           // previous batch size; leader-owned under commitMu
 
-	// sbCache holds the leader's per-store durability-batch scratch,
-	// reused across tenures; leader-owned under commitMu (see
+	// sbCache holds the per-store durability-batch scratch of the
+	// batches this group leads (a spanning commit's batch is led by its
+	// first group), reused across batches; owned under commitMu (see
 	// storeScratch).
 	sbCache map[kv.Store]*storeBatch
 

@@ -15,12 +15,16 @@ import (
 // boundary, reopens, and asserts PREFIX DURABILITY — the recovered table
 // contents equal the effects of exactly the acknowledged-and-durable
 // prefix of the committed-transaction sequence, with the per-table
-// watermark (Table.metaKey) consistent with that prefix. It is the
+// watermark (Table.metaKey) consistent with that prefix. A two-group
+// shape puts two tables in separate groups on one store, with scripted
+// transactions spanning both. It is the
 // robustness analogue of the spine-equivalence property tests: "recovery
 // works" becomes an enforced invariant.
 
-// sweepOp is one scripted write.
+// sweepOp is one scripted write of table tbl (an index into the
+// harness's tables).
 type sweepOp struct {
+	tbl int
 	key string
 	val string
 	del bool
@@ -35,24 +39,64 @@ type sweepTxn []sweepOp
 // write time, so same-window overlap would self-deadlock a single-driver
 // harness) while txns at the same position across windows overwrite and
 // delete each other's keys, exercising version overwrite and tombstones
-// in recovery.
-func makeSweepScript(rng *rand.Rand, n, window int) []sweepTxn {
+// in recovery. With tables > 1 each op picks its table at random, and
+// every other transaction gets one more op on the next table so that it
+// spans at least two.
+func makeSweepScript(rng *rand.Rand, n, window, tables int) []sweepTxn {
 	script := make([]sweepTxn, n)
 	for i := range script {
 		slot := i % window
 		nops := 1 + rng.Intn(3)
-		tx := make(sweepTxn, 0, nops)
+		tx := make(sweepTxn, 0, nops+1)
 		for j := 0; j < nops; j++ {
-			key := fmt.Sprintf("k%02d-%d", slot, rng.Intn(3))
-			if rng.Intn(5) == 0 && i > 0 {
-				tx = append(tx, sweepOp{key: key, del: true})
-			} else {
-				tx = append(tx, sweepOp{key: key, val: fmt.Sprintf("v%d.%d", i, j)})
+			op := sweepOp{key: fmt.Sprintf("k%02d-%d", slot, rng.Intn(3))}
+			if tables > 1 {
+				op.tbl = rng.Intn(tables)
 			}
+			if rng.Intn(5) == 0 && i > 0 {
+				op.del = true
+			} else {
+				op.val = fmt.Sprintf("v%d.%d", i, j)
+			}
+			tx = append(tx, op)
+		}
+		if tables > 1 && i%2 == 0 {
+			tx = append(tx, sweepOp{tbl: (tx[0].tbl + 1) % tables, key: fmt.Sprintf("k%02d-s", slot), val: fmt.Sprintf("v%d.s", i)})
 		}
 		script[i] = tx
 	}
 	return script
+}
+
+// sweepTableID names table i of the harness; table i is alone in group
+// "g" + its ID, so every table commits through its own pipeline.
+func sweepTableID(i int) StateID {
+	if i == 0 {
+		return "sweep"
+	}
+	return StateID(fmt.Sprintf("sweep%d", i))
+}
+
+// openSweepTables creates the harness's tables over store, each in its
+// own group.
+func openSweepTables(t *testing.T, ctx *Context, store kv.Store, tables int) []*Group {
+	t.Helper()
+	groups := make([]*Group, tables)
+	for i := range groups {
+		tbl, err := ctx.CreateTable(sweepTableID(i), store, TableOptions{SyncCommits: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			groups[i], err = ctx.CreateGroup("g", tbl)
+		} else {
+			groups[i], err = ctx.CreateGroup(GroupID("g"+string(sweepTableID(i))), tbl)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return groups
 }
 
 func sweepProtocol(name string, ctx *Context) Protocol {
@@ -68,26 +112,22 @@ func sweepProtocol(name string, ctx *Context) Protocol {
 }
 
 // runSweepScript drives the script against the fault store and reports
-// which transactions were acknowledged as committed, in commit order.
-// With window > 1 it uses the chain-commit path (CommitChain batches of
-// up to window transactions — the fused spine's shape); otherwise plain
-// Commit per transaction. Driving continues after a crash so the sweep
-// also verifies fail-fast behavior of every post-crash commit.
-func runSweepScript(t *testing.T, proto string, window int, script []sweepTxn, fault *kv.Fault) (committed []int, group *Group, p Protocol) {
+// which transactions were acknowledged as committed, in commit order,
+// with the commit timestamp of each (window 1 only; the chain path leaves
+// acked nil). With window > 1 it uses the chain-commit path (CommitChain
+// batches of up to window transactions — the fused spine's shape);
+// otherwise plain Commit per transaction. Driving continues after a
+// crash so the sweep also verifies fail-fast behavior of every post-crash
+// commit.
+func runSweepScript(t *testing.T, proto string, window, tables int, script []sweepTxn, fault *kv.Fault) (committed []int, acked []Timestamp, groups []*Group, p Protocol) {
 	t.Helper()
 	ctx := NewContext()
-	tbl, err := ctx.CreateTable("sweep", fault, TableOptions{SyncCommits: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err = ctx.CreateGroup("g", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
+	groups = openSweepTables(t, ctx, fault, tables)
 	p = sweepProtocol(proto, ctx)
 
 	apply := func(tx *Txn, s sweepTxn) error {
 		for _, op := range s {
+			tbl := groups[op.tbl].Tables()[0]
 			var err error
 			if op.del {
 				err = p.Delete(tx, tbl, op.key)
@@ -125,9 +165,19 @@ func runSweepScript(t *testing.T, proto string, window int, script []sweepTxn, f
 			if err := apply(tx, s); err != nil {
 				t.Fatalf("txn %d write: %v", i, err)
 			}
-			noteErr(i, p.Commit(tx))
+			err = p.Commit(tx)
+			noteErr(i, err)
+			if err == nil {
+				// A single driver: the newest LastCTS of any group is
+				// this commit's timestamp.
+				var cts Timestamp
+				for _, g := range groups {
+					cts = max(cts, g.LastCTS())
+				}
+				acked = append(acked, cts)
+			}
 		}
-		return committed, group, p
+		return committed, acked, groups, p
 	}
 
 	cc, ok := p.(ChainCommitter)
@@ -152,19 +202,23 @@ func runSweepScript(t *testing.T, proto string, window int, script []sweepTxn, f
 			}
 			txs = append(txs, tx)
 		}
-		errs := cc.CommitChain(txs, []*Table{tbl})
+		errs := cc.CommitChain(txs, []*Table{groups[0].Tables()[0]})
 		for i := range errs {
 			noteErr(start+i, errs[i][0])
 		}
 	}
-	return committed, group, p
+	return committed, nil, groups, p
 }
 
-// sweepEffects replays the committed prefix into a flat map.
-func sweepEffects(script []sweepTxn, committed []int) map[string]string {
+// sweepEffects replays the committed prefix of table tbl's writes into a
+// flat map.
+func sweepEffects(script []sweepTxn, committed []int, tbl int) map[string]string {
 	want := map[string]string{}
 	for _, idx := range committed {
 		for _, op := range script[idx] {
+			if op.tbl != tbl {
+				continue
+			}
 			if op.del {
 				delete(want, op.key)
 			} else {
@@ -176,8 +230,8 @@ func sweepEffects(script []sweepTxn, committed []int) map[string]string {
 }
 
 // recoverSweep reopens the crashed store into a fresh context and
-// returns the recovered watermark and table contents.
-func recoverSweep(t *testing.T, fault *kv.Fault) (Timestamp, map[string]string) {
+// returns each table's recovered watermark and contents.
+func recoverSweep(t *testing.T, fault *kv.Fault, tables int) ([]Timestamp, []map[string]string) {
 	t.Helper()
 	re, err := fault.Reopen()
 	if err != nil {
@@ -185,39 +239,42 @@ func recoverSweep(t *testing.T, fault *kv.Fault) (Timestamp, map[string]string) 
 	}
 	t.Cleanup(func() { re.Close() })
 	ctx := NewContext()
-	tbl, err := ctx.CreateTable("sweep", re, TableOptions{SyncCommits: true})
-	if err != nil {
-		t.Fatal(err)
+	recovered := make([]Timestamp, tables)
+	got := make([]map[string]string, tables)
+	for i, g := range openSweepTables(t, ctx, re, tables) {
+		recovered[i] = g.LastCTS()
+		got[i] = map[string]string{}
+		g.Tables()[0].SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
+			got[i][key] = string(value)
+			return true
+		})
 	}
-	g, err := ctx.CreateGroup("g", tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered := g.LastCTS()
-	got := map[string]string{}
-	tbl.SnapshotScan(ctx.Now(), func(key string, value []byte) bool {
-		got[key] = string(value)
-		return true
-	})
 	return recovered, got
 }
 
 // TestPropertyCrashRecoveryPrefixDurability is the sweep: for each
-// protocol × window shape, first a fault-free counting run fixes the
+// protocol × shape (window 1, window 8, and window 1 over two groups with
+// spanning transactions), first a fault-free counting run fixes the
 // number of write boundaries, then one run per boundary crashes the
 // store exactly there, reopens, and asserts the prefix-durability
 // invariant plus post-crash fail-stop behavior.
 func TestPropertyCrashRecoveryPrefixDurability(t *testing.T) {
 	const nTxns = 16
+	shapes := []struct{ window, tables int }{{1, 1}, {8, 1}, {1, 2}}
 	for _, proto := range []string{"mvcc", "s2pl", "bocc"} {
-		for _, window := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/window=%d", proto, window), func(t *testing.T) {
-				script := makeSweepScript(rand.New(rand.NewSource(0xC0FFEE)), nTxns, window)
+		for _, shape := range shapes {
+			window, tables := shape.window, shape.tables
+			name := fmt.Sprintf("%s/window=%d", proto, window)
+			if tables > 1 {
+				name += fmt.Sprintf("/groups=%d", tables)
+			}
+			t.Run(name, func(t *testing.T) {
+				script := makeSweepScript(rand.New(rand.NewSource(0xC0FFEE)), nTxns, window, tables)
 
 				// Counting run: no faults; fixes the number of Apply
 				// boundaries and the full committed sequence.
 				clean := kv.NewFault(kv.NewMem())
-				committedAll, _, _ := runSweepScript(t, proto, window, script, clean)
+				committedAll, _, _, _ := runSweepScript(t, proto, window, tables, script, clean)
 				if len(committedAll) != nTxns {
 					t.Fatalf("fault-free run committed %d/%d txns", len(committedAll), nTxns)
 				}
@@ -232,23 +289,26 @@ func TestPropertyCrashRecoveryPrefixDurability(t *testing.T) {
 				for k := 1; k <= boundaries+1; k++ {
 					fault := kv.NewFault(kv.NewMem())
 					fault.CrashAtApply(k)
-					committed, group, p := runSweepScript(t, proto, window, script, fault)
+					committed, acked, groups, p := runSweepScript(t, proto, window, tables, script, fault)
 
 					if k <= boundaries {
 						if !fault.Crashed() {
 							t.Fatalf("crash=%d: store did not crash", k)
 						}
-						// Fail-stop: the group is poisoned and a fresh
-						// commit fails fast while reads still serve the
-						// acknowledged in-memory state.
-						if group.Err() == nil {
-							t.Fatalf("crash=%d: group not poisoned", k)
+						// Fail-stop: every group on the crashed store is
+						// poisoned and a fresh commit fails fast while
+						// reads still serve the acknowledged in-memory
+						// state.
+						for _, g := range groups {
+							if g.Err() == nil {
+								t.Fatalf("crash=%d: group %s not poisoned", k, g.ID())
+							}
 						}
 						tx, err := p.Begin()
 						if err != nil {
 							t.Fatal(err)
 						}
-						tbl := group.Tables()[0]
+						tbl := groups[0].Tables()[0]
 						if err := p.Write(tx, tbl, "post", []byte("x")); err != nil {
 							t.Fatalf("crash=%d: buffered write failed: %v", k, err)
 						}
@@ -265,27 +325,48 @@ func TestPropertyCrashRecoveryPrefixDurability(t *testing.T) {
 					}
 
 					// Prefix durability: what the reopened store recovers
-					// is exactly the effects of the acknowledged commits —
-					// the acknowledged sequence IS the durable prefix,
-					// because acknowledgment follows the synced Apply.
-					recovered, got := recoverSweep(t, fault)
-					want := sweepEffects(script, committed)
-					if len(got) != len(want) {
-						t.Fatalf("crash=%d: recovered %d keys (%v), want %d (%v)", k, len(got), got, len(want), want)
-					}
-					for key, val := range want {
-						if got[key] != val {
-							t.Fatalf("crash=%d: recovered %q=%q, want %q", k, key, got[key], val)
+					// for each table is exactly the effects of the
+					// acknowledged commits on it — the acknowledged
+					// sequence IS the durable prefix, because
+					// acknowledgment follows the synced Apply.
+					recovered, got := recoverSweep(t, fault, tables)
+					for i := 0; i < tables; i++ {
+						want := sweepEffects(script, committed, i)
+						if len(got[i]) != len(want) {
+							t.Fatalf("crash=%d: table %d recovered %d keys (%v), want %d (%v)", k, i, len(got[i]), got[i], len(want), want)
+						}
+						for key, val := range want {
+							if got[i][key] != val {
+								t.Fatalf("crash=%d: table %d recovered %q=%q, want %q", k, i, key, got[i][key], val)
+							}
 						}
 					}
-					// Watermark consistency: zero with no durable commit,
-					// otherwise it must not precede any acknowledged commit
-					// (the last acked commit's batch carried it).
-					if len(committed) == 0 && recovered != 0 {
-						t.Fatalf("crash=%d: watermark %d with no committed txn", k, recovered)
-					}
-					if len(committed) > 0 && recovered == 0 {
-						t.Fatalf("crash=%d: watermark lost (%d commits acked)", k, recovered)
+					// Watermark consistency, per table: zero with no
+					// durable commit on it, otherwise it must not precede
+					// any acknowledged commit on it (the commit's batch
+					// carried it) — for a spanning commit, that is every
+					// table it wrote.
+					for i := 0; i < tables; i++ {
+						touched := false
+						for n, idx := range committed {
+							wrote := false
+							for _, op := range script[idx] {
+								wrote = wrote || op.tbl == i
+							}
+							if !wrote {
+								continue
+							}
+							touched = true
+							if acked != nil && recovered[i] < acked[n] {
+								t.Fatalf("crash=%d: table %d watermark %d precedes acked txn %d at %d", k, i, recovered[i], idx, acked[n])
+							}
+						}
+						if !touched && recovered[i] != 0 {
+							t.Fatalf("crash=%d: table %d watermark %d with no committed txn", k, i, recovered[i])
+						}
+						if touched && recovered[i] == 0 {
+							t.Fatalf("crash=%d: table %d watermark lost", k, i)
+						}
 					}
 					fault.Close()
 				}
@@ -302,15 +383,15 @@ func TestPropertyCrashRecoveryPrefixDurability(t *testing.T) {
 // than the watermark claims. This test documents that the tear is NOT
 // silently absorbed — the recovered contents differ from every prefix.
 func TestCrashSweepTornBatchDetectable(t *testing.T) {
-	script := makeSweepScript(rand.New(rand.NewSource(7)), 4, 1)
+	script := makeSweepScript(rand.New(rand.NewSource(7)), 4, 1, 1)
 	fault := kv.NewFault(kv.NewMem())
 	// Tear the 3rd commit's batch after a single op: rows of txn 2 leak
 	// without its watermark bump.
 	fault.TearApplyAt(3, 1)
-	committed, _, _ := runSweepScript(t, "mvcc", 1, script, fault)
+	committed, _, _, _ := runSweepScript(t, "mvcc", 1, 1, script, fault)
 
-	_, got := recoverSweep(t, fault)
-	want := sweepEffects(script, committed)
+	_, recovered := recoverSweep(t, fault, 1)
+	got, want := recovered[0], sweepEffects(script, committed, 0)
 	match := len(got) == len(want)
 	if match {
 		for key, val := range want {

@@ -17,8 +17,10 @@
 //	table.go        Table: the MVCC dictionary over a kv.Store base table
 //	baseimage.go    the pointer-free image of the rows recovered at
 //	                CreateGroup; objects are created on first write
-//	consistency.go  the shared commit machinery: per-state flags,
-//	                group-commit pipeline, multi-group slow path
+//	consistency.go  the shared commit machinery: per-state flags, the
+//	                group-commit queue and the one commit pipeline
+//	                (commitBatch) that single- and cross-group
+//	                commits both run
 //	si.go           snapshot isolation (First-Committer-Wins)
 //	s2pl.go         strict two-phase locking (wait-die)
 //	bocc.go         backward-oriented optimistic validation

@@ -84,9 +84,11 @@ func TestMultiStoreFailurePoisonsAllTouchedGroups(t *testing.T) {
 	}
 }
 
-// TestMultiGroupCommitFailurePoisonsSpan exercises the slow path: a
-// transaction spanning two groups whose durability fails must poison
-// both groups, and later commits on either fail fast.
+// TestMultiGroupCommitFailurePoisonsSpan exercises the cross-group path:
+// a transaction spanning two groups whose durability fails must poison
+// both groups, and later commits on either fail fast. The first failing
+// commit carries the same error contract as a single-group one: the
+// sticky ErrGroupFailed wrapping the injected cause.
 func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 	inner := kv.NewMem()
 	defer inner.Close()
@@ -102,8 +104,8 @@ func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 	tx, _ := p.Begin()
 	p.Write(tx, a, "k", []byte("doomed"))
 	p.Write(tx, b, "k", []byte("doomed"))
-	if err := p.Commit(tx); !errors.Is(err, errDiskFull) {
-		t.Fatalf("cross-group commit = %v, want the injected disk error", err)
+	if err := p.Commit(tx); !errors.Is(err, errDiskFull) || !errors.Is(err, ErrGroupFailed) {
+		t.Fatalf("cross-group commit = %v, want ErrGroupFailed wrapping the injected disk error", err)
 	}
 	if err := g1.Err(); !errors.Is(err, ErrGroupFailed) {
 		t.Fatalf("g1.Err() = %v, want ErrGroupFailed", err)
@@ -112,7 +114,7 @@ func TestMultiGroupCommitFailurePoisonsSpan(t *testing.T) {
 		t.Fatalf("g2.Err() = %v, want ErrGroupFailed", err)
 	}
 
-	// The cross-group slow path rejects a spanning transaction too.
+	// The cross-group path rejects a spanning transaction too.
 	fs.fail.Store(false)
 	tx2, _ := p.Begin()
 	p.Write(tx2, a, "k", []byte("later"))

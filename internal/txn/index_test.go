@@ -214,3 +214,141 @@ func TestIndexGCBoundsResidentPostings(t *testing.T) {
 		t.Fatalf("live bucket %q has %d keys after GC, want %d", last[:1], len(got), keys)
 	}
 }
+
+// TestCrossGroupIndexMaintenance drives index maintenance through
+// commits that span two topology groups: two indexed tables in separate
+// groups over one store, written by the same transactions. At every
+// commit an index lookup must equal a filtered scan on both tables, and a
+// snapshot pinned before the commit must see neither table's change.
+func TestCrossGroupIndexMaintenance(t *testing.T) {
+	type op struct {
+		tbl, key, val string // val == "" deletes
+	}
+	// Births, bucket moves (a→b, b→a), partial-index exit and re-entry,
+	// same-bucket rewrites of an existing key, a key written twice in one
+	// transaction, deletes, and a re-birth after a delete.
+	script := [][]op{
+		{{"a", "k1", "a1"}, {"a", "k2", "b2"}, {"a", "k3", "a3"}, {"b", "k1", "b1"}, {"b", "k2", "a2"}},
+		{{"a", "k1", "b1"}, {"a", "k2", "x2"}, {"b", "k1", "a1"}, {"b", "k2", ""}},
+		{{"a", "k3", "c0"}, {"a", "k3", "a33"}, {"b", "k1", "a11"}, {"b", "k3", "c3"}},
+		{{"a", "k1", ""}, {"a", "k2", "c2"}, {"b", "k2", "b2"}, {"b", "k3", "b3"}},
+	}
+	for _, proto := range []string{"mvcc", "s2pl", "bocc"} {
+		t.Run(proto, func(t *testing.T) {
+			ctx := NewContext()
+			store := kv.NewMem()
+			t.Cleanup(func() { store.Close() })
+			tbls := map[string]*Table{}
+			ixs := map[string]*Index{}
+			for _, name := range []string{"a", "b"} {
+				tbl, err := ctx.CreateTable(StateID(name), store, TableOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ctx.CreateGroup(GroupID("g"+name), tbl); err != nil {
+					t.Fatal(err)
+				}
+				if ixs[name], err = tbl.CreateIndex("bucket", valueBucket); err != nil {
+					t.Fatal(err)
+				}
+				tbls[name] = tbl
+			}
+			p := sweepProtocol(proto, ctx)
+
+			// view reads both tables through snap: per table, the full
+			// scan and the lookup of every bucket the scan or the index
+			// could hold.
+			type tableView struct{ scan, lookup map[string]map[string]string }
+			view := func(snap *Snapshot) map[string]tableView {
+				t.Helper()
+				out := map[string]tableView{}
+				for name, tbl := range tbls {
+					v := tableView{scan: map[string]map[string]string{}, lookup: map[string]map[string]string{}}
+					if err := snap.Scan(tbl, func(k string, val []byte) bool {
+						if ik, ok := valueBucket(k, val); ok {
+							if v.scan[ik] == nil {
+								v.scan[ik] = map[string]string{}
+							}
+							v.scan[ik][k] = string(val)
+						}
+						return true
+					}); err != nil {
+						t.Fatal(err)
+					}
+					for _, ik := range []string{"a", "b", "c", "x"} {
+						got := map[string]string{}
+						if err := snap.Lookup(ixs[name], ik, func(k string, val []byte) bool {
+							got[k] = string(val)
+							return true
+						}); err != nil {
+							t.Fatal(err)
+						}
+						if len(got) > 0 {
+							v.lookup[ik] = got
+						}
+					}
+					out[name] = v
+				}
+				return out
+			}
+			check := func(when string, v map[string]tableView) {
+				t.Helper()
+				for name, tv := range v {
+					if fmt.Sprint(tv.lookup) != fmt.Sprint(tv.scan) {
+						t.Fatalf("%s: table %s lookup %v != filtered scan %v", when, name, tv.lookup, tv.scan)
+					}
+				}
+			}
+			snapshot := func() *Snapshot {
+				t.Helper()
+				s, err := ctx.Snapshot(tbls["a"], tbls["b"])
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(s.Release)
+				return s
+			}
+
+			for i, ops := range script {
+				pre := snapshot()
+				before := view(pre)
+				tx, err := p.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range ops {
+					if o.val == "" {
+						err = p.Delete(tx, tbls[o.tbl], o.key)
+					} else {
+						err = p.Write(tx, tbls[o.tbl], o.key, []byte(o.val))
+					}
+					if err != nil {
+						t.Fatalf("txn %d: %v", i, err)
+					}
+				}
+				mustCommit(t, p, tx)
+
+				cts := tbls["a"].group.LastCTS()
+				if got := tbls["b"].group.LastCTS(); got != cts {
+					t.Fatalf("txn %d: LastCTS a=%d b=%d, want one spanning publish", i, cts, got)
+				}
+				post := snapshot()
+				if post.CTS() != cts {
+					t.Fatalf("txn %d: snapshot at %d, want %d", i, post.CTS(), cts)
+				}
+				after := view(post)
+				check(fmt.Sprintf("txn %d", i), after)
+				for _, name := range []string{"a", "b"} {
+					if fmt.Sprint(after[name].scan) == fmt.Sprint(before[name].scan) {
+						t.Fatalf("txn %d: table %s unchanged by its commit", i, name)
+					}
+				}
+				// The snapshot pinned before the commit sees neither
+				// table's change, through the scan or the index.
+				if got := view(pre); fmt.Sprint(got) != fmt.Sprint(before) {
+					t.Fatalf("txn %d: pre-commit snapshot moved:\n got %v\nwant %v", i, got, before)
+				}
+			}
+		})
+	}
+}
