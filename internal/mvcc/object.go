@@ -242,6 +242,18 @@ func (s *versionSet) reclaimOrGrow(oldestActive Timestamp) *versionSet {
 	return next
 }
 
+// Versions calls fn for every retained version in ascending cts order,
+// with its deletion timestamp (0 while alive) and value, which fn must
+// not modify. Like Read it takes no locks.
+func (o *Object) Versions(fn func(cts, dts Timestamp, value []byte)) {
+	s := o.snap.Load()
+	n := int(s.n.Load())
+	for i := 0; i < n; i++ {
+		sl := &s.slots[i]
+		fn(sl.cts, sl.dts.Load(), sl.val)
+	}
+}
+
 // LiveVersions returns the number of occupied slots (reclaimable ones
 // included); used by tests and the slot-size ablation.
 func (o *Object) LiveVersions() int {

@@ -185,6 +185,36 @@ func TestExplicitGC(t *testing.T) {
 	}
 }
 
+// TestVersionsListsRetainedVersions: Versions walks the retained
+// versions oldest first with their lifetimes; a deletion adds no version
+// and GC'd versions are gone.
+func TestVersionsListsRetainedVersions(t *testing.T) {
+	o := NewObject(4)
+	for _, v := range []struct {
+		cts Timestamp
+		val string
+		del bool
+	}{{1, "a", false}, {3, "b", false}, {5, "", true}, {7, "c", false}} {
+		if err := o.Install(v.cts, []byte(v.val), v.del, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	list := func() string {
+		s := ""
+		o.Versions(func(cts, dts Timestamp, val []byte) {
+			s += fmt.Sprintf("[%d,%d)%s ", cts, dts, val)
+		})
+		return s
+	}
+	if got, want := list(), "[1,3)a [3,5)b [7,0)c "; got != want {
+		t.Fatalf("Versions = %q, want %q", got, want)
+	}
+	o.GC(3)
+	if got, want := list(), "[3,5)b [7,0)c "; got != want {
+		t.Fatalf("Versions after GC(3) = %q, want %q", got, want)
+	}
+}
+
 // TestInstallTakesOwnership documents the Install aliasing contract: the
 // object adopts the caller's buffer (no defensive copy on the hot path),
 // so the commit paths hand over their private write-set copies and the

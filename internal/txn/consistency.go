@@ -608,15 +608,16 @@ func (p *protocolBase) leadGroup(g *Group) {
 //     First-Committer-Wins sees writes of earlier same-batch admissions;
 //     a rejected request aborts immediately with no state modified.
 //  3. durability: ONE coalesced batch per distinct base store — all
-//     admitted rows and index postings plus one LastCTS watermark per
-//     touched table — with a single (optionally synchronous) Apply. This
-//     is where group commit pays: N transactions share one fsync. A
-//     failed store aborts the whole batch; nothing was installed yet, so
-//     memory is untouched and partially persisted stores reconcile at
-//     recovery via the watermark (see CreateGroup).
-//  4. install all versions in commit-timestamp order (cannot fail:
-//     version arrays grow on demand and installers of one group are
-//     serialized by the latch).
+//     admitted rows plus one LastCTS watermark per touched table (index
+//     mutations are derived here too, but are not persisted) — with a
+//     single (optionally synchronous) Apply. This is where group commit
+//     pays: N transactions share one fsync. A failed store aborts the
+//     whole batch; nothing was installed yet, so memory is untouched and
+//     partially persisted stores reconcile at recovery via the watermark
+//     (see CreateGroup).
+//  4. install all versions, and apply the index mutations, in
+//     commit-timestamp order (cannot fail: version arrays grow on demand
+//     and installers of one group are serialized by the latch).
 //  5. publish LastCTS once per group for the batch — the single atomic
 //     store that makes every member transaction visible, completely or
 //     not at all; a spanning commit is published to every involved group
@@ -695,8 +696,8 @@ func (p *protocolBase) commitBatch(gs []*Group, batch []*commitReq) {
 	var (
 		batches []*storeBatch
 		tables  []*Table
-		// Secondary-index maintenance: posting mutations per admitted
-		// request (installed in phase 4 at the request's cts), and the
+		// Secondary-index maintenance: candidate mutations per admitted
+		// request (applied in phase 4 at the request's cts), and the
 		// pending post-write images of keys already visited in this batch
 		// (the pre-image of a later same-batch write of the same key).
 		// Both stay nil while no touched table has indexes.
@@ -731,10 +732,9 @@ func (p *protocolBase) commitBatch(gs []*Group, batch []*commitReq) {
 					sb.batch.PutOwned(rk, op.value)
 				}
 				if len(ixs) > 0 {
-					// Index mutations join the SAME durability batch as the
-					// row (posting rows share its arena) and are stashed for
-					// install at the SAME commit timestamp in phase 4 — the
-					// index is never ahead of or behind its table.
+					// Index mutations are stashed for phase 4, which applies
+					// them at the row's commit timestamp — the index is never
+					// ahead of or behind its table.
 					img, found := rowImage{}, false
 					if m := preimage[e.table]; m != nil {
 						img, found = m[key]
@@ -743,18 +743,7 @@ func (p *protocolBase) commitBatch(gs []*Group, batch []*commitReq) {
 					if !found {
 						oldVal, hadOld = latestImage(e.table, op.obj, key)
 					}
-					start := len(deltas)
 					deltas = indexDeltasFor(deltas, ixs, key, op.value, op.delete, oldVal, hadOld)
-					for _, d := range deltas[start:] {
-						ioff := len(sb.arena)
-						sb.arena = d.ix.appendRowKey(sb.arena, d.ikey, d.pkey)
-						irk := sb.arena[ioff:len(sb.arena):len(sb.arena)]
-						if d.del {
-							sb.batch.DeleteOwned(irk)
-						} else {
-							sb.batch.PutOwned(irk, nil)
-						}
-					}
 					if preimage == nil {
 						preimage = make(map[*Table]map[string]rowImage)
 					}
@@ -841,13 +830,15 @@ func (p *protocolBase) commitBatch(gs []*Group, batch []*commitReq) {
 			}
 		}
 		if reqDeltas != nil {
-			// Posting installs at the row's cts, right after the rows: a
-			// snapshot sees the index mutation exactly when it sees the row.
+			// Candidates change at the row's cts, right after the rows and
+			// before LastCTS publishes them: entering sets exit 0, leaving
+			// sets exit cts.
 			for _, d := range reqDeltas[ri] {
-				if err := d.ix.install(d.ikey, d.pkey, req.cts, d.del, horizon); err != nil {
-					failAll(fmt.Errorf("txn: install invariant violated: %w", err))
-					return
+				var exit Timestamp
+				if d.del {
+					exit = req.cts
 				}
+				d.ix.install(d.ikey, d.pkey, exit)
 			}
 		}
 	}

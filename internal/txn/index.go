@@ -12,36 +12,44 @@ import (
 
 // Transactional secondary indexes. An index maps a derived key (the
 // "index key", computed by a user extractor from a row's key and value)
-// to the set of row keys currently carrying it. Maintenance happens in
-// the SAME write path as the table itself: the one commit pipeline
-// (commitBatch, for single- and cross-group commits) derives index
-// mutations from every admitted row write, appends them to the SAME
-// coalesced durability batch, and installs them into the index's version
-// store at the SAME commit timestamp as the row — so an index is never
-// ahead of or behind its table, under all three concurrency-control
-// protocols, and aborted transactions never touch it (only admitted
-// requests are processed).
+// to the rows carrying it. Maintenance happens in the SAME write path as
+// the table itself: the one commit pipeline (commitBatch, for single- and
+// cross-group commits) derives index mutations from every admitted row
+// write and applies them in phase 4 at the row's own commit timestamp,
+// before LastCTS publishes the commit — so an index is never behind its
+// table, under all three concurrency-control protocols, and aborted
+// transactions never touch it (only admitted requests are processed).
 //
-// Each (index key, row key) posting is an mvcc.Object holding presence
-// versions: visible at rts exactly when the row carried that index key
-// at rts. Lookups therefore compose with snapshot reads for free — an
-// index read at a Snapshot's CTS returns exactly the rows a filtered
-// full-table scan at that CTS would.
+// An index keeps no versions of its own. Per index key it holds a
+// candidate set: row key -> exit timestamp, 0 while the row's latest
+// version carries the index key, otherwise the commit timestamp at which
+// the row left it. A lookup at rts takes the candidates with exit 0 or
+// exit > rts and rechecks each against the row's own version at rts,
+// emitting it only when the extractor yields the looked-up key. The
+// recheck makes a lookup sound; it is complete because a row carrying
+// the key at rts entered the set before rts was published, and its exit
+// only moves forward (a re-entry resets it to 0). An index read at a
+// Snapshot's CTS therefore returns exactly the rows a filtered full-table
+// scan at that CTS would.
+//
+// Candidates are not persisted: an index is derived state, rebuilt from
+// the rows by CreateIndex in every process that declares it.
 
-// indexShards spreads the posting lists over independently locked maps,
+// indexShards spreads the candidate sets over independently locked maps,
 // mirroring the table's key shards. Must be a power of two.
 const indexShards = 16
 
 // IndexKeyFunc derives the index key of one row. ok=false excludes the
 // row from the index (a partial index). The function must be pure — it
 // is re-evaluated on the commit path for both the old and the new row
-// image — and must not retain key or value. Index keys must not contain
-// NUL bytes (the persisted posting-row encoding uses NUL as separator).
+// image, and by every lookup to recheck a candidate — and must not
+// retain key or value.
 type IndexKeyFunc func(key string, value []byte) (ikey string, ok bool)
 
 // Index is a transactionally maintained secondary index over one table
-// (Table.CreateIndex). All methods are safe for concurrent use; reads
-// are wait-free against the commit path (RCU posting versions).
+// (Table.CreateIndex). All methods are safe for concurrent use; lookups
+// hold a shard's read lock only while collecting candidates, and read
+// the rows wait-free (RCU row versions).
 type Index struct {
 	name    string
 	tbl     *Table
@@ -54,13 +62,14 @@ type Index struct {
 	puts, deletes, lookups, hits atomic.Uint64
 }
 
-// indexShard is one latch-striped slice of the posting map:
-// ikey -> row key -> presence versions. Posting objects are never
-// removed once created (installers cache pointers to them, exactly as
-// table rows do); reclamation compacts their version arrays instead.
+// indexShard is one latch-striped slice of the candidate sets:
+// ikey -> row key -> exit timestamp (0 while the row carries ikey). The
+// row key is the committing write set's key string, so a candidate costs
+// one map slot and no allocation of its own. Sweeps delete candidates
+// whose exit no snapshot can still read (exit <= horizon).
 type indexShard struct {
 	mu sync.RWMutex
-	m  map[string]map[string]*mvcc.Object
+	m  map[string]map[string]Timestamp
 }
 
 // Name returns the index name.
@@ -71,8 +80,8 @@ func (ix *Index) Table() *Table { return ix.tbl }
 
 // IndexStats are an index's lifetime counters (Index.Stats).
 type IndexStats struct {
-	// Puts / Deletes count posting insertions and removals installed by
-	// the commit path (backfill included).
+	// Puts counts rows entering an index key (exit set to 0), Deletes
+	// exits recorded — by the commit path and the backfill.
 	Puts, Deletes uint64
 	// Lookups counts Lookup calls; Hits the rows they returned.
 	Lookups, Hits uint64
@@ -97,122 +106,86 @@ func (ix *Index) shard(ikey string) *indexShard {
 	return &ix.shards[h&(indexShards-1)]
 }
 
-// posting returns the presence-version object of (ikey, pkey), creating
-// it when create is set.
-func (ix *Index) posting(ikey, pkey string, create bool) *mvcc.Object {
-	sh := ix.shard(ikey)
-	sh.mu.RLock()
-	o := sh.m[ikey][pkey]
-	sh.mu.RUnlock()
-	if o != nil || !create {
-		return o
+// install records that row pkey entered ikey (exit 0) or left it at
+// commit timestamp exit. Called under the owning group's commit latch
+// (backfill holds it too), so a candidate's exit only moves forward.
+func (ix *Index) install(ikey, pkey string, exit Timestamp) {
+	if exit == 0 {
+		ix.puts.Add(1)
+	} else {
+		ix.deletes.Add(1)
 	}
+	sh := ix.shard(ikey)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	post := sh.m[ikey]
 	if post == nil {
-		post = make(map[string]*mvcc.Object)
+		post = make(map[string]Timestamp)
 		sh.m[ikey] = post
 	}
-	if o = post[pkey]; o == nil {
-		o = mvcc.NewObject(0)
-		post[pkey] = o
-	}
-	return o
+	post[pkey] = exit
+	sh.mu.Unlock()
 }
 
-// install applies one posting mutation at cts: presence when delete is
-// false, removal otherwise. Called under the owning group's commit latch
-// (backfill holds it too), so installs per posting are cts-monotonic.
-func (ix *Index) install(ikey, pkey string, cts Timestamp, delete bool, horizon Timestamp) error {
-	if err := ix.posting(ikey, pkey, true).Install(cts, nil, delete, horizon); err != nil {
-		return fmt.Errorf("index %q: %w", ix.name, err)
-	}
-	if delete {
-		ix.deletes.Add(1)
-	} else {
-		ix.puts.Add(1)
-	}
-	return nil
-}
-
-// appendRowKey appends the persisted posting-row key for (ikey, pkey) to
-// dst: "i/<table>/<index>/<ikey>\x00<pkey>". Posting rows ride the same
-// per-store durability batch as the table rows of their commit.
-func (ix *Index) appendRowKey(dst []byte, ikey, pkey string) []byte {
-	dst = append(dst, 'i', '/')
-	dst = append(dst, ix.tbl.id...)
-	dst = append(dst, '/')
-	dst = append(dst, ix.name...)
-	dst = append(dst, '/')
-	dst = append(dst, ikey...)
-	dst = append(dst, 0)
-	return append(dst, pkey...)
-}
-
-// rowPrefix namespaces this index's posting rows in the base store.
+// rowPrefix is the base-store range where earlier builds persisted this
+// index's posting rows; CreateIndex clears it so such a store sheds them.
 func (ix *Index) rowPrefix() []byte {
 	return []byte("i/" + string(ix.tbl.id) + "/" + ix.name + "/")
 }
 
 // Lookup calls fn for every row whose index key equals ikey at snapshot
 // rts, with the row's value at that same snapshot, until fn returns
-// false. Posting visibility and row visibility are installed at the same
-// commit timestamp, so the result equals a full-table scan at rts
+// false. Each candidate still in ikey at rts is rechecked against its
+// row version at rts, so the result equals a full-table scan at rts
 // filtered by the same extractor. Iteration order is unspecified.
 func (ix *Index) Lookup(rts Timestamp, ikey string, fn func(key string, value []byte) bool) {
 	ix.lookups.Add(1)
 	sh := ix.shard(ikey)
-	type pair struct {
-		k string
-		o *mvcc.Object
-	}
 	sh.mu.RLock()
 	post := sh.m[ikey]
-	pairs := make([]pair, 0, len(post))
-	for k, o := range post {
-		pairs = append(pairs, pair{k, o})
+	cands := make([]string, 0, len(post))
+	for k, exit := range post {
+		if exit == 0 || exit > rts {
+			cands = append(cands, k)
+		}
 	}
 	sh.mu.RUnlock()
-	for _, p := range pairs {
-		if _, ok := p.o.Read(rts); !ok {
+	for _, k := range cands {
+		v, ok := ix.tbl.readVersion(k, rts)
+		if !ok {
 			continue
 		}
-		v, ok := ix.tbl.readVersion(p.k, rts)
-		if !ok {
-			// Unreachable when the write-path invariant holds (posting and
-			// row install at one cts); skipping keeps a lookup from ever
-			// fabricating a row.
+		if got, ok := ix.extract(k, v); !ok || got != ikey {
 			continue
 		}
 		ix.hits.Add(1)
-		if !fn(p.k, v) {
+		if !fn(k, v) {
 			return
 		}
 	}
 }
 
-// ResidentPostings counts posting version slots currently occupied —
-// the index-side analogue of Table.ResidentVersions (diagnostic).
+// ResidentPostings counts the candidates currently held, exited ones
+// not yet reclaimed included — the index-side analogue of
+// Table.ResidentVersions (diagnostic).
 func (ix *Index) ResidentPostings() int {
 	n := 0
 	for i := range ix.shards {
 		sh := &ix.shards[i]
 		sh.mu.RLock()
 		for _, post := range sh.m {
-			for _, o := range post {
-				n += o.LiveVersions()
-			}
+			n += len(post)
 		}
 		sh.mu.RUnlock()
 	}
 	return n
 }
 
-// gc reclaims dead posting versions in count index shards from the
-// cursor (wrapping), returning reclaimed slots. Invoked by the table
-// sweeps so index residency is bounded by the same policy as row
-// residency.
+// gc deletes the candidates whose exit is at or below horizon — no
+// snapshot can read the row in that index key any more — in count index
+// shards from the cursor (wrapping), returning how many it deleted.
+// Invoked by the table sweeps so index residency is bounded by the same
+// policy as row residency. A re-entry resets the exit under the same
+// lock, so the check and the delete are atomic.
 func (ix *Index) gc(horizon Timestamp, count int) int {
 	if count < 1 {
 		count = 1
@@ -225,23 +198,26 @@ func (ix *Index) gc(horizon Timestamp, count int) int {
 	n := 0
 	for j := 0; j < count; j++ {
 		sh := &ix.shards[(from+j)%indexShards]
-		sh.mu.RLock()
-		objs := make([]*mvcc.Object, 0, len(sh.m))
-		for _, post := range sh.m {
-			for _, o := range post {
-				objs = append(objs, o)
+		sh.mu.Lock()
+		for ikey, post := range sh.m {
+			for k, exit := range post {
+				if exit != 0 && exit <= horizon {
+					delete(post, k)
+					n++
+				}
+			}
+			if len(post) == 0 {
+				delete(sh.m, ikey)
 			}
 		}
-		sh.mu.RUnlock()
-		for _, o := range objs {
-			n += o.GC(horizon)
-		}
+		sh.mu.Unlock()
 	}
 	return n
 }
 
-// indexDelta is one posting mutation derived from an admitted row write,
-// installed at the writing transaction's commit timestamp.
+// indexDelta is one candidate mutation derived from an admitted row
+// write, applied at the writing transaction's commit timestamp: the row
+// enters ikey, or leaves it when del is set.
 type indexDelta struct {
 	ix   *Index
 	ikey string
@@ -249,7 +225,7 @@ type indexDelta struct {
 	del  bool
 }
 
-// indexDeltasFor appends the posting mutations implied by writing key
+// indexDeltasFor appends the candidate mutations implied by writing key
 // with newVal (or deleting it when del is set), given the row's
 // pre-image: oldVal/hadOld describe the latest value the key holds
 // before this write installs (earlier same-batch admissions included).
@@ -309,16 +285,17 @@ func (t *Table) Indexes() []*Index { return t.indexSet() }
 // pipeline for the duration of the backfill; from the first commit after
 // it returns, the index is maintained transactionally in the write path.
 //
-// Persisted posting rows from a previous process run are cleared before
-// the backfill, so a changed extractor can never leave stale postings in
-// the base store.
+// The backfill walks every retained version of each row, so snapshots
+// pinned before the index existed read it consistently too. Posting rows
+// that earlier builds persisted under the index's prefix are deleted
+// from the base store.
 func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	if name == "" || extract == nil {
 		return nil, fmt.Errorf("txn: CreateIndex needs a name and an extractor")
 	}
 	if strings.ContainsAny(name, "/\x00") {
-		// Posting rows live under "i/<table>/<name>/": a '/' in the name
-		// would overlap another index's range.
+		// The stale-row clear covers "i/<table>/<name>/": a '/' in the
+		// name would overlap another index's range.
 		return nil, fmt.Errorf("txn: index name %q must not contain '/' or NUL", name)
 	}
 	g := t.group
@@ -326,7 +303,7 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownState, t.id)
 	}
 	// Quiesce the commit pipeline: no transaction can commit into the
-	// table while the backfill scans, so the index is exact at LastCTS
+	// table while the backfill walks it, so the index is exact at LastCTS
 	// and every later commit maintains it incrementally.
 	g.commitMu.Lock()
 	defer g.commitMu.Unlock()
@@ -335,11 +312,11 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	}
 	ix := &Index{name: name, tbl: t, extract: extract}
 	for i := range ix.shards {
-		ix.shards[i].m = make(map[string]map[string]*mvcc.Object)
+		ix.shards[i].m = make(map[string]map[string]Timestamp)
 	}
 
-	// Drop stale persisted postings, then persist the backfill in one
-	// batch (same sync gate as commits: only where the backend has one).
+	// Delete stale posting rows (same sync gate as commits: only where
+	// the backend has one).
 	batch := kv.NewBatch(0)
 	prefix := ix.rowPrefix()
 	if err := t.store.Scan(prefix, prefixEnd(prefix), func(k, _ []byte) bool {
@@ -348,46 +325,32 @@ func (t *Table) CreateIndex(name string, extract IndexKeyFunc) (*Index, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 	}
-
-	// Under the quiesced latch the visible version of a row is its newest,
-	// so its commit timestamp is the object's LatestCTS (the recovered cts
-	// for a base-image row); installing the posting there makes it visible
-	// to every snapshot that can see the row — including ones pinned
-	// before the index existed.
-	rts := g.LastCTS()
-	backfill := func(key string, v []byte, cts Timestamp) error {
-		ikey, ok := extract(key, v)
-		if !ok {
-			return nil
+	if batch.Len() > 0 {
+		sync := t.opts.SyncCommits && t.caps.SupportsSync
+		if err := t.store.Apply(batch, sync); err != nil {
+			return nil, fmt.Errorf("txn: index %q: clear postings: %w", name, err)
 		}
-		if err := ix.install(ikey, key, cts, false, 0); err != nil {
-			return err
-		}
-		batch.Put(ix.appendRowKey(nil, ikey, key), nil)
-		return nil
 	}
+
+	// Versions ascend by cts, so the last version carrying an index key
+	// leaves the key's exit: its dts, or 0 when it is the live version. A
+	// base-image row is one live version.
 	var rows shardRows
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.collect(true, &rows)
 		for _, r := range rows.objs {
-			if v, ok := r.o.Read(rts); ok {
-				if err := backfill(r.key, v, r.o.LatestCTS()); err != nil {
-					return nil, err
+			r.o.Versions(func(_, dts Timestamp, v []byte) {
+				if ikey, ok := extract(r.key, v); ok {
+					ix.install(ikey, r.key, dts)
 				}
-			}
+			})
 		}
 		for _, off := range rows.base {
 			k, v, _ := sh.base.entry(off)
-			if err := backfill(k, v, t.baseCTS); err != nil {
-				return nil, err
+			if ikey, ok := extract(k, v); ok {
+				ix.install(ikey, k, 0)
 			}
-		}
-	}
-	if batch.Len() > 0 {
-		sync := t.opts.SyncCommits && t.caps.SupportsSync
-		if err := t.store.Apply(batch, sync); err != nil {
-			return nil, fmt.Errorf("txn: index %q: persist backfill: %w", name, err)
 		}
 	}
 

@@ -2,7 +2,9 @@ package txn
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 )
@@ -139,25 +141,86 @@ func TestIndexBackfillMaintenanceAndTimeTravel(t *testing.T) {
 	}
 }
 
-// TestIndexPostingRowsPersisted pins the durability contract: posting
-// rows live in the base store under "i/<table>/<index>/<ikey>\x00<pkey>"
-// and track the live postings — the backfill writes them, maintenance
-// adds and removes them in the same batch as the rows.
-func TestIndexPostingRowsPersisted(t *testing.T) {
+// TestIndexBackfillServesOlderSnapshots: a snapshot pinned before
+// CreateIndex reads the index as of its own timestamp. The backfill once
+// indexed only each row's latest version, so rows rewritten out of a
+// bucket or deleted after the pin vanished from that snapshot's lookups.
+func TestIndexBackfillServesOlderSnapshots(t *testing.T) {
 	e := newEnv(t)
 	p := NewSI(e.ctx)
-	write(t, p, e.t1, "k1", "a1", "k2", "b2")
-	if _, err := e.t1.CreateIndex("bucket", valueBucket); err != nil {
+	write(t, p, e.t1, "k1", "a1", "k2", "a2", "k3", "b3")
+	snap, err := e.ctx.Snapshot(e.t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	// After the pin: k1 stays in bucket a with a new value, k2 is
+	// deleted, k3 moves b→a.
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(tx, e.t1, "k1", []byte("a9")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete(tx, e.t1, "k2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Write(tx, e.t1, "k3", []byte("a3")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, p, tx)
+	ix, err := e.t1.CreateIndex("bucket", valueBucket)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	postings := func() map[string]bool {
+	for _, c := range []struct {
+		rts  Timestamp
+		want map[string]map[string]string
+	}{
+		{snap.CTS(), map[string]map[string]string{"a": {"k1": "a1", "k2": "a2"}, "b": {"k3": "b3"}}},
+		{e.group.LastCTS(), map[string]map[string]string{"a": {"k1": "a9", "k3": "a3"}, "b": {}}},
+	} {
+		for ikey, want := range c.want {
+			if got := lookupAll(t, ix, c.rts, ikey); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Lookup(%q) at %d = %v, want %v", ikey, c.rts, got, want)
+			}
+		}
+	}
+	// The snapshot's own Lookup agrees with its filtered scan.
+	scan := map[string]string{}
+	for k, v := range scanAll(t, snap, e.t1) {
+		if ik, ok := valueBucket(k, []byte(v)); ok && ik == "a" {
+			scan[k] = v
+		}
+	}
+	got := map[string]string{}
+	if err := snap.Lookup(ix, "a", func(k string, v []byte) bool {
+		got[k] = string(v)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(scan) {
+		t.Fatalf("snapshot Lookup(a) = %v, filtered scan = %v", got, scan)
+	}
+}
+
+// TestIndexWritesNoPostingRows: an index is derived state and writes
+// nothing to the base store — neither the backfill nor commits that move
+// rows between buckets leave a key under "i/", across real lsm reopens.
+// Posting rows that earlier builds persisted under the index's prefix
+// are deleted by CreateIndex.
+func TestIndexWritesNoPostingRows(t *testing.T) {
+	bs := newBaseStore(t, "lsm")
+	opts := TableOptions{SyncCommits: true}
+	indexRows := func(store kv.Store) []string {
 		t.Helper()
-		prefix := []byte("i/state1/bucket/")
-		end := append(append([]byte(nil), prefix...), 0xff)
-		out := map[string]bool{}
-		if err := e.store.Scan(prefix, end, func(k, _ []byte) bool {
-			out[string(k[len(prefix):])] = true
+		prefix := []byte("i/")
+		var out []string
+		if err := store.Scan(prefix, prefixEnd(prefix), func(k, _ []byte) bool {
+			out = append(out, string(k))
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -165,15 +228,63 @@ func TestIndexPostingRowsPersisted(t *testing.T) {
 		return out
 	}
 
-	if got := postings(); len(got) != 2 || !got["a\x00k1"] || !got["b\x00k2"] {
-		t.Fatalf("backfilled posting rows = %v, want a\\x00k1 and b\\x00k2", got)
+	store := bs.restart()
+	_, p, tbls := recoverTables(t, store, opts, "state1")
+	write(t, p, tbls[0], "k1", "a1", "k2", "b2", "k3", "x3")
+	// Posting rows as earlier builds wrote them: "i/<table>/<index>/<ikey>\x00<pkey>".
+	stale := kv.NewBatch(0)
+	stale.Put([]byte("i/state1/bucket/a\x00k1"), nil)
+	stale.Put([]byte("i/state1/bucket/b\x00k2"), nil)
+	stale.Put([]byte("i/state1/bucket/z\x00gone"), nil)
+	if err := store.Apply(stale, true); err != nil {
+		t.Fatal(err)
 	}
 
-	// A bucket move must delete the old posting row and put the new one
-	// within the same commit; leaving the index removes the row outright.
-	write(t, p, e.t1, "k1", "b1", "k2", "x2")
-	if got := postings(); len(got) != 1 || !got["b\x00k1"] {
-		t.Fatalf("posting rows after churn = %v, want only b\\x00k1", got)
+	store = bs.restart()
+	_, p, tbls = recoverTables(t, store, opts, "state1")
+	if got := indexRows(store); len(got) != 3 {
+		t.Fatalf("seeded stale posting rows = %q, want 3", got)
+	}
+	ix, err := tbls[0].CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := indexRows(store); len(got) != 0 {
+		t.Fatalf("rows under i/ after CreateIndex = %q, want none", got)
+	}
+	// Churn: a bucket move, a partial-index exit and entry, a delete and
+	// a birth.
+	write(t, p, tbls[0], "k1", "b1", "k2", "x2", "k3", "a3", "k4", "a4")
+	tx, err := p.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Delete(tx, tbls[0], "k1"); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, p, tx)
+	if got := indexRows(store); len(got) != 0 {
+		t.Fatalf("rows under i/ after churn = %q, want none", got)
+	}
+	want := map[string]string{"k3": "a3", "k4": "a4"}
+	if got := lookupAll(t, ix, tbls[0].group.LastCTS(), "a"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Lookup(a) after churn = %v, want %v", got, want)
+	}
+
+	// A reopened process rebuilds the index from the recovered rows alone.
+	store = bs.restart()
+	_, _, tbls = recoverTables(t, store, opts, "state1")
+	if got := indexRows(store); len(got) != 0 {
+		t.Fatalf("rows under i/ after reopen = %q, want none", got)
+	}
+	if ix, err = tbls[0].CreateIndex("bucket", valueBucket); err != nil {
+		t.Fatal(err)
+	}
+	if got := lookupAll(t, ix, tbls[0].group.LastCTS(), "a"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Lookup(a) after reopen = %v, want %v", got, want)
+	}
+	if got := lookupAll(t, ix, tbls[0].group.LastCTS(), "b"); len(got) != 0 {
+		t.Fatalf("Lookup(b) after reopen = %v, want none", got)
 	}
 }
 
@@ -350,5 +461,193 @@ func TestCrossGroupIndexMaintenance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// applyHookStore runs hook at the start of every Apply — inside a commit
+// whose timestamps are reserved but not yet published.
+type applyHookStore struct {
+	kv.Store
+	hook func()
+}
+
+func (s *applyHookStore) Apply(b *kv.Batch, sync bool) error {
+	s.hook()
+	return s.Store.Apply(b, sync)
+}
+
+// TestStressIndexLookupUnderGC races index lookups at pinned snapshots
+// against a writer and the threshold sweeps that reclaim exited
+// candidates (run it under -race). The writer moves keys between
+// buckets, in and out of the partial index, and deletes them; each
+// reader checks Lookup == filtered Scan at its own timestamp for every
+// bucket. Half the readers hold a snapshot taken inside a commit's
+// durable Apply, pinned one timestamp below that commit, and wait for the
+// sweeps to cover every index shard before checking: the commit's exits
+// sit exactly one past the GC horizon, so reclaiming a candidate a
+// snapshot can still read shows up as a missing row. A lookup that
+// trusts a candidate without rechecking the row shows up as an extra
+// one. Once every snapshot is released, one GC leaves at most one
+// candidate per live row.
+func TestStressIndexLookupUnderGC(t *testing.T) {
+	const keys = 64
+	buckets := []string{"a", "b", "c", "d", "x"}
+	dur := time.Second
+	if testing.Short() {
+		dur = 200 * time.Millisecond
+	}
+	ctx := NewContext()
+	var tbl *Table
+	var pinNext atomic.Bool
+	// One pending snapshot per waiting reader; the hook releases extras.
+	inflight := make(chan *Snapshot, 2)
+	store := &applyHookStore{Store: kv.NewMem(), hook: func() {
+		if !pinNext.Swap(false) {
+			return
+		}
+		snap, err := ctx.Snapshot(tbl)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		select {
+		case inflight <- snap:
+		default:
+			snap.Release()
+		}
+	}}
+	t.Cleanup(func() { store.Close() })
+	tbl, err := ctx.CreateTable("s", store, TableOptions{GCEveryCommits: 16, VersionSlots: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("g", tbl); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := tbl.CreateIndex("bucket", valueBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewSI(ctx)
+
+	h := newHammer(t)
+	rng := newRand(1)
+	commits := 0
+	h.spawn(1, func(int) bool {
+		// Two transactions over disjoint keys, both begun before either
+		// commits: no timestamp is drawn between the first commit's
+		// publish and the second's reservation, so a snapshot taken in
+		// the second's Apply is pinned exactly one below it.
+		perm := rng.Perm(keys)
+		var txs [2]*Txn
+		for i := range txs {
+			tx, err := p.Begin()
+			if err != nil {
+				t.Error(err)
+				return false
+			}
+			for _, k := range perm[3*i : 3*i+3] {
+				key := fmt.Sprintf("k%02d", k)
+				if rng.Intn(8) == 0 {
+					err = p.Delete(tx, tbl, key)
+				} else {
+					err = p.Write(tx, tbl, key, []byte(fmt.Sprintf("%s%d", buckets[rng.Intn(len(buckets))], commits)))
+				}
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+			}
+			txs[i] = tx
+		}
+		for i, tx := range txs {
+			pinNext.Store(i == 1)
+			if err := p.Commit(tx); err != nil {
+				t.Error(err)
+				return false
+			}
+			commits++
+		}
+		return true
+	})
+	check := func(snap *Snapshot) bool {
+		scan := map[string]map[string]string{}
+		if err := snap.Scan(tbl, func(k string, v []byte) bool {
+			if ik, ok := valueBucket(k, v); ok {
+				if scan[ik] == nil {
+					scan[ik] = map[string]string{}
+				}
+				scan[ik][k] = string(v)
+			}
+			return true
+		}); err != nil {
+			t.Error(err)
+			return false
+		}
+		for _, b := range buckets {
+			got := map[string]string{}
+			if err := snap.Lookup(ix, b, func(k string, v []byte) bool {
+				got[k] = string(v)
+				return true
+			}); err != nil {
+				t.Error(err)
+				return false
+			}
+			want := scan[b]
+			if want == nil {
+				want = map[string]string{}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("snapshot %d: Lookup(%q) = %v, filtered scan = %v", snap.CTS(), b, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	h.spawn(2, func(int) bool {
+		var snap *Snapshot
+		select {
+		case snap = <-inflight:
+		case <-h.stop:
+			return false
+		}
+		defer snap.Release()
+		// gcSweepSlices threshold sweeps cover every index shard.
+		target := tbl.GCStats().Runs + gcSweepSlices + 1
+		for tbl.GCStats().Runs < target && !h.stopped() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		return check(snap)
+	})
+	h.spawn(2, func(int) bool {
+		snap, err := ctx.Snapshot(tbl)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		defer snap.Release()
+		return check(snap)
+	})
+	time.Sleep(dur)
+	h.finish()
+	close(inflight)
+	for snap := range inflight {
+		snap.Release()
+	}
+	if commits == 0 {
+		t.Fatal("writer committed nothing")
+	}
+	if tbl.GCStats().ReclaimedSlots == 0 {
+		t.Fatal("no sweep reclaimed anything under the readers")
+	}
+
+	tbl.GC()
+	snap, err := ctx.Snapshot(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Release()
+	if live, got := len(scanAll(t, snap, tbl)), ix.ResidentPostings(); got > live {
+		t.Fatalf("resident postings %d after release and GC, want <= %d live rows", got, live)
 	}
 }

@@ -201,9 +201,10 @@ func (s *Snapshot) ParallelScan(tbl *Table, lanes int, fn func(key string, value
 
 // Lookup reads rows of ix's table through the secondary index at the
 // snapshot: fn is called for every row whose index key equals ikey at
-// the pinned timestamp, with the row value at that same timestamp. The
-// index write-path invariant (postings install at their row's commit
-// timestamp) makes this equal to a filtered full scan of the table.
+// the pinned timestamp, with the row value at that same timestamp. Index
+// candidates change at their row's commit timestamp and are rechecked
+// against the row, which makes this equal to a filtered full scan of the
+// table.
 func (s *Snapshot) Lookup(ix *Index, ikey string, fn func(key string, value []byte) bool) error {
 	if err := s.table(ix.tbl); err != nil {
 		return err

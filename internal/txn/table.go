@@ -328,8 +328,9 @@ func (t *Table) sweep(from, count int) int {
 			n += r.o.GC(horizon)
 		}
 	}
-	// Index postings age with their rows: each sweep also reclaims a
-	// proportional slice of every secondary index's posting versions.
+	// Index candidates age with their rows: each sweep also reclaims the
+	// exited candidates in a proportional slice of every secondary
+	// index's shards.
 	if ixs := t.indexSet(); len(ixs) > 0 {
 		ic := count * indexShards / tableShards
 		for _, ix := range ixs {
