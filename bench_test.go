@@ -353,7 +353,7 @@ func BenchmarkIngestAuto(b *testing.B) {
 	cfg.CommitEvery = 10
 	cfg.Keys = 100_000
 	cfg.Lanes = 4
-	cfg.Auto = true
+	cfg.Window = bench.AutoWindow
 	res, err := bench.RunIngest(cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -146,7 +146,7 @@ func main() {
 	icfg.Sync = *sync
 	icfg.Lanes = *lanes
 	if *window == "auto" {
-		icfg.Auto = true
+		icfg.Window = bench.AutoWindow
 	} else {
 		w, err := strconv.Atoi(*window)
 		if err != nil {
@@ -311,9 +311,8 @@ func feedPartSweep(icfg bench.IngestConfig, print bool, freshDir func() string) 
 // supplies a new data directory per lsm cell.
 func pipelineSweep(icfg bench.IngestConfig, print bool, freshDir func() string) []bench.PipelineResult {
 	parts := max(icfg.Lanes, 1)
-	// This sweep IS the static windows; -window auto has its own cells
-	// (adaptiveSweep).
-	icfg.Auto = false
+	// This sweep IS the static windows (each cell pins its own, replacing
+	// -window auto, which has its own cells in adaptiveSweep).
 	var results []bench.PipelineResult
 	for _, w := range []int{1, 8} {
 		for _, fused := range []bool{false, true} {
@@ -342,8 +341,7 @@ func pipelineSweep(icfg bench.IngestConfig, print bool, freshDir func() string) 
 // lsm cell.
 func adaptiveSweep(icfg bench.IngestConfig, print bool, freshDir func() string) []bench.PipelineResult {
 	parts := max(icfg.Lanes, 1)
-	icfg.Window = 0
-	icfg.Auto = true
+	icfg.Window = bench.AutoWindow
 	var results []bench.PipelineResult
 	for _, fused := range []bool{false, true} {
 		icfg.Dir = freshDir() // fresh per cell; unused by volatile specs
@@ -366,7 +364,6 @@ func adaptiveSweep(icfg bench.IngestConfig, print bool, freshDir func() string) 
 func runAdaptive(icfg bench.IngestConfig, jsonOut bool, freshDir func() string) {
 	icfg.Backend = "lsm"
 	icfg.Sync = true
-	icfg.Auto = false
 	static := pipelineSweep(icfg, !jsonOut, freshDir)
 	auto := adaptiveSweep(icfg, !jsonOut, freshDir)
 	if jsonOut {
@@ -478,7 +475,11 @@ func mixedSweep(icfg bench.IngestConfig, scanLanes int, print bool, freshDir fun
 // would (correctly but uninformatively) show fan-in 1. The backend
 // sweep likewise pins its own specs — comparing backends is its point.
 func runBenchJSON(icfg bench.IngestConfig, freshDir func() string) {
-	icfg.Auto = false
+	if icfg.Window == bench.AutoWindow {
+		// The ledger's ingest, mixed and feed cells run the serialized
+		// spine; the controller has its own cells (adaptiveSweep).
+		icfg.Window = 0
+	}
 	ingests := ingestLaneSweep(icfg, false, freshDir)
 	icfg.Lanes = 1
 	// The mixed sweep runs immediately after the ingest sweep: its

@@ -33,26 +33,28 @@
 //     and the install fast path allocates nothing but the value.
 //   - The dataflow engine is vectorized: edges carry element batches,
 //     chains of stateless operators fuse into their consumer's goroutine,
-//     and TO_TABLE applies each transaction's tuples through a batched
-//     write API (Protocol.WriteBatch) — one snapshot pin and one latch
-//     acquisition per batch. See DESIGN.md "Vectorized dataflow".
+//     and TO_TABLE applies each transaction's tuples as one write
+//     segment — one snapshot pin and one latch acquisition per
+//     transaction and lane. See DESIGN.md "Vectorized dataflow".
 //   - Queries scale past one core on both sides of a table.
 //     Stream.Parallelize splits the ingest spine into keyed lanes with
 //     per-lane write segments re-serialized at a transaction-preserving
-//     merge barrier; FromTablePartitioned splits the change feed
+//     merge barrier (Stream.ToTable is the one-lane case, so there is one
+//     TO_TABLE write path); FromTablePartitioned splits the change feed
 //     (TO_STREAM) into per-partition commit watchers merged through the
 //     same barrier discipline, so an end-to-end pipeline — ingest lanes
 //     → table → feed partitions → downstream lanes — is shared-nothing
 //     per key from source to sink. See DESIGN.md "Parallel keyed ingest
 //     lanes" and "Partitioned change feed".
-//   - The commit spine batches ACROSS transactions: TransactionsWindow
+//   - The commit spine batches ACROSS transactions: TransactionsTuned
 //     keeps a bounded window of one query's small transactions in
 //     flight on a commit chain (serial-order semantics preserved:
 //     chain-internal conflicts are exempt, foreign conflicts still
-//     abort), and the lane barrier's commit spine (MergeBatched) submits
+//     abort), and the lane barrier's commit spine (MergeTuned) submits
 //     consecutive decided transactions to the group-commit pipeline as
 //     ONE batch — one leader tenure, one fsync, one LastCTS publish for
-//     the run. Reparallelize fuses a feed region directly into a
+//     the run. One AutoTuner sets the window for both ends: pinned
+//     (NewFixedTuner) or self-tuning (NewAutoTuner). Reparallelize fuses a feed region directly into a
 //     downstream parallel region (partition i → lane i) when the
 //     partitioning matches. See DESIGN.md "Fused commit spine".
 //

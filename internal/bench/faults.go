@@ -57,7 +57,11 @@ type FaultsResult struct {
 func RunFaults(cfg FaultsConfig) (FaultsResult, error) {
 	icfg := cfg.Ingest
 	icfg.Sync = true
-	icfg.Auto = false
+	if icfg.Window == AutoWindow {
+		// The failure point is sized from a known fan-in; the smoke runs
+		// the serialized spine rather than the controller.
+		icfg.Window = 1
+	}
 	if err := icfg.validate(); err != nil {
 		return FaultsResult{}, err
 	}
@@ -119,11 +123,7 @@ func RunFaults(cfg FaultsConfig) (FaultsResult, error) {
 		}
 		return nil
 	})
-	window := max(icfg.Window, 1)
-	lanes := max(icfg.Lanes, 1)
-	region := src.Punctuate(icfg.CommitEvery).TransactionsWindow(p, window).Parallelize(lanes, nil)
-	stats := region.ToTable(p, tbl)
-	region.MergeBatched("merge", window).Discard()
+	stats, _ := icfg.toTable(src, p, tbl)
 
 	start := time.Now()
 	runErr := top.Run()

@@ -139,16 +139,9 @@ func RunFeed(cfg FeedConfig) (FeedResult, error) {
 		}
 		return nil
 	})
-	s := src.Punctuate(ic.CommitEvery).Transactions(p)
-	var stats *stream.ToTableStats
-	if ic.Lanes > 1 {
-		region := s.Parallelize(ic.Lanes, nil)
-		stats = region.ToTable(p, tbl)
-		region.Merge("merge").Discard()
-	} else {
-		s, stats = s.ToTable(p, tbl)
-		s.Discard()
-	}
+	region := src.Punctuate(ic.CommitEvery).Transactions(p).Parallelize(max(ic.Lanes, 1), nil)
+	stats := region.ToTable(p, tbl)
+	region.Merge("merge").Discard()
 
 	start := time.Now()
 	feedTop.Start()

@@ -41,23 +41,49 @@ type IngestConfig struct {
 	// (stream.Parallelize): tuples are hash-routed into Lanes independent
 	// operator chains with per-lane TO_TABLE write paths, re-serialized
 	// at a transaction-preserving merge barrier. 0 or 1 selects the
-	// sequential single-writer spine.
+	// single-writer spine.
 	Lanes int
-	// Window enables the fused commit spine: up to Window consecutive
-	// transactions of the query run concurrently
-	// (stream.TransactionsWindow) and the barrier's commit spine submits
+	// Window sizes the commit spine's transaction window: up to Window
+	// consecutive transactions of the query run concurrently
+	// (stream.TransactionsTuned) and the barrier's commit spine submits
 	// lane-complete ones to the group-commit pipeline in cross-transaction
-	// batches of up to Window (stream.ParallelRegion.MergeBatched) — one
+	// batches of up to Window (stream.ParallelRegion.MergeTuned) — one
 	// leader tenure, one coalesced store batch + fsync for several small
-	// transactions. 0 or 1 selects the serialized spine (one commit per
-	// transaction).
+	// transactions. A positive Window pins the tuner there
+	// (stream.NewFixedTuner); 0 or 1 is the serialized spine (one commit
+	// per transaction). AutoWindow hands the window and linger to the
+	// self-tuning controller (stream.NewAutoTuner), which sizes them from
+	// observed fsync latency.
 	Window int
-	// Auto replaces the static Window with the self-tuning controller
-	// (stream.AutoTune): the pipeline runs TransactionsTuned + MergeTuned
-	// sharing one stream.AutoTuner that sizes the commit window and
-	// linger from observed fsync latency. Mutually exclusive with
-	// Window > 1.
-	Auto bool
+}
+
+// AutoWindow is the IngestConfig.Window value that selects the
+// self-tuning commit-window controller instead of a pinned window.
+const AutoWindow = -1
+
+// toTable wires the ingest query's write path onto src: punctuate every
+// CommitEvery tuples, transactions under the config's tuner (the
+// controller for AutoWindow, pinned at Window otherwise), Lanes keyed
+// lanes with a TO_TABLE into tbl each, closed by the commit spine on the
+// same tuner. It returns the live writer stats and the tuner.
+func (c IngestConfig) toTable(src *stream.Stream, p txn.Protocol, tbl *txn.Table) (*stream.ToTableStats, *stream.AutoTuner) {
+	tun := stream.NewFixedTuner(max(c.Window, 1))
+	if c.Window == AutoWindow {
+		tun = stream.NewAutoTuner(stream.AutoTune{})
+	}
+	region := src.Punctuate(c.CommitEvery).TransactionsTuned(p, tun).Parallelize(max(c.Lanes, 1), nil)
+	stats := region.ToTable(p, tbl)
+	region.MergeTuned("merge", tun).Discard()
+	return stats, tun
+}
+
+// windowLabel renders the config's window for reports: the pinned size,
+// or the controller's final position and resize counts under AutoWindow.
+func (c IngestConfig) windowLabel(tunedWindow int, grows, shrinks uint64) string {
+	if c.Window == AutoWindow {
+		return fmt.Sprintf("auto(→%d, +%d/-%d)", tunedWindow, grows, shrinks)
+	}
+	return fmt.Sprint(max(c.Window, 1))
 }
 
 // DefaultIngest returns a quick single-writer in-memory configuration.
@@ -88,11 +114,8 @@ func (c *IngestConfig) validate() error {
 	if c.Lanes < 0 {
 		return fmt.Errorf("bench: negative lane count")
 	}
-	if c.Window < 0 {
+	if c.Window < 0 && c.Window != AutoWindow {
 		return fmt.Errorf("bench: negative commit window")
-	}
-	if c.Auto && c.Window > 1 {
-		return fmt.Errorf("bench: Auto and a static Window > 1 are mutually exclusive")
 	}
 	if c.KeyBytes < 1 {
 		c.KeyBytes = 8
@@ -123,8 +146,8 @@ type IngestResult struct {
 	CommitBatches uint64
 
 	// TunedWindow is the window the controller settled on by the end of
-	// an Auto run (0 for static runs); TunedGrows / TunedShrinks count
-	// its up / down resizes along the way.
+	// an AutoWindow run (0 for pinned runs); TunedGrows / TunedShrinks
+	// count its up / down resizes along the way.
 	TunedWindow  int    `json:",omitempty"`
 	TunedGrows   uint64 `json:",omitempty"`
 	TunedShrinks uint64 `json:",omitempty"`
@@ -182,46 +205,7 @@ func RunIngest(cfg IngestConfig) (IngestResult, error) {
 		}
 		return nil
 	})
-	window := cfg.Window
-	if window < 1 {
-		window = 1
-	}
-	var stats *stream.ToTableStats
-	var tun *stream.AutoTuner
-	if cfg.Auto {
-		// Self-tuning spine: the controller sizes the window and linger
-		// from the latencies this very run observes.
-		tun = stream.NewAutoTuner(stream.AutoTune{})
-		lanes := cfg.Lanes
-		if lanes < 1 {
-			lanes = 1
-		}
-		region := src.Punctuate(cfg.CommitEvery).TransactionsTuned(p, tun).Parallelize(lanes, nil)
-		stats = region.ToTable(p, tbl)
-		region.MergeTuned("merge", tun).Discard()
-	} else {
-		s := src.Punctuate(cfg.CommitEvery).TransactionsWindow(p, window)
-		switch {
-		case window > 1:
-			// The fused commit spine needs the region barrier even at one
-			// lane: the spine worker is what batches consecutive decided
-			// transactions into one group-commit submission.
-			lanes := cfg.Lanes
-			if lanes < 1 {
-				lanes = 1
-			}
-			region := s.Parallelize(lanes, nil)
-			stats = region.ToTable(p, tbl)
-			region.MergeBatched("merge", window).Discard()
-		case cfg.Lanes > 1:
-			region := s.Parallelize(cfg.Lanes, nil)
-			stats = region.ToTable(p, tbl)
-			region.Merge("merge").Discard()
-		default:
-			s, stats = s.ToTable(p, tbl)
-			s.Discard()
-		}
-	}
+	stats, tun := cfg.toTable(src, p, tbl)
 
 	start := time.Now()
 	if err := top.Run(); err != nil {
@@ -239,7 +223,7 @@ func RunIngest(cfg IngestConfig) (IngestResult, error) {
 	res.CommitTxns, res.CommitBatches = group.CommitStats()
 	res.ElemsPerSec = float64(res.Writes) / elapsed.Seconds()
 	res.CacheStats = cacheStatsOf(store)
-	if tun != nil {
+	if cfg.Window == AutoWindow {
 		ts := tun.Stats()
 		res.TunedWindow = ts.Window
 		res.TunedGrows = ts.Grows
@@ -270,10 +254,7 @@ func PrintIngest(w io.Writer, r IngestResult) {
 	if lanes < 1 {
 		lanes = 1
 	}
-	window := fmt.Sprint(max(c.Window, 1))
-	if c.Auto {
-		window = fmt.Sprintf("auto(→%d, +%d/-%d)", r.TunedWindow, r.TunedGrows, r.TunedShrinks)
-	}
+	window := c.windowLabel(r.TunedWindow, r.TunedGrows, r.TunedShrinks)
 	fmt.Fprintf(w, "ingest protocol=%s backend=%s elements=%d commit-every=%d keys=%d sync=%t lanes=%d window=%s\n",
 		c.Protocol, c.Backend, c.Elements, c.CommitEvery, c.Keys, c.Sync, lanes, window)
 	fmt.Fprintf(w, "  throughput %12.0f elems/s  (%d writes in %v)\n", r.ElemsPerSec, r.Writes, r.Elapsed.Round(time.Millisecond))

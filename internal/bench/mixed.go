@@ -164,41 +164,7 @@ func RunMixed(cfg MixedConfig) (MixedResult, error) {
 		}
 		return nil
 	})
-	window := icfg.Window
-	if window < 1 {
-		window = 1
-	}
-	var stats *stream.ToTableStats
-	var tun *stream.AutoTuner
-	if icfg.Auto {
-		tun = stream.NewAutoTuner(stream.AutoTune{})
-		lanes := icfg.Lanes
-		if lanes < 1 {
-			lanes = 1
-		}
-		region := src.Punctuate(icfg.CommitEvery).TransactionsTuned(p, tun).Parallelize(lanes, nil)
-		stats = region.ToTable(p, tbl)
-		region.MergeTuned("merge", tun).Discard()
-	} else {
-		s := src.Punctuate(icfg.CommitEvery).TransactionsWindow(p, window)
-		switch {
-		case window > 1:
-			lanes := icfg.Lanes
-			if lanes < 1 {
-				lanes = 1
-			}
-			region := s.Parallelize(lanes, nil)
-			stats = region.ToTable(p, tbl)
-			region.MergeBatched("merge", window).Discard()
-		case icfg.Lanes > 1:
-			region := s.Parallelize(icfg.Lanes, nil)
-			stats = region.ToTable(p, tbl)
-			region.Merge("merge").Discard()
-		default:
-			s, stats = s.ToTable(p, tbl)
-			s.Discard()
-		}
-	}
+	stats, tun := icfg.toTable(src, p, tbl)
 
 	// Readers: run until the ingest finishes, each read under its own
 	// pinned snapshot (released promptly so the GC horizon keeps moving).
@@ -338,7 +304,7 @@ func RunMixed(cfg MixedConfig) (MixedResult, error) {
 	res.Ingest.CommitTxns, res.Ingest.CommitBatches = group.CommitStats()
 	res.Ingest.ElemsPerSec = float64(res.Ingest.Writes) / elapsed.Seconds()
 	res.Ingest.CacheStats = cacheStatsOf(store)
-	if tun != nil {
+	if icfg.Window == AutoWindow {
 		ts := tun.Stats()
 		res.Ingest.TunedWindow = ts.Window
 		res.Ingest.TunedGrows = ts.Grows

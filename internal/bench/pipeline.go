@@ -73,8 +73,8 @@ type PipelineResult struct {
 	CommitTxns    uint64
 	CommitBatches uint64
 
-	// TunedWindow is the controller's final window for Ingest.Auto runs
-	// (0 for static runs); TunedGrows / TunedShrinks its resize counts.
+	// TunedWindow is the controller's final window for AutoWindow runs
+	// (0 for pinned runs); TunedGrows / TunedShrinks its resize counts.
 	TunedWindow  int    `json:",omitempty"`
 	TunedGrows   uint64 `json:",omitempty"`
 	TunedShrinks uint64 `json:",omitempty"`
@@ -177,33 +177,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 		}
 		return nil
 	})
-	window := ic.Window
-	if window < 1 {
-		window = 1
-	}
-	lanes := ic.Lanes
-	if lanes < 1 {
-		lanes = 1
-	}
-	var (
-		stats *stream.ToTableStats
-		tun   *stream.AutoTuner
-	)
-	if ic.Auto {
-		tun = stream.NewAutoTuner(stream.AutoTune{})
-		ingRegion := src.Punctuate(ic.CommitEvery).TransactionsTuned(p, tun).Parallelize(lanes, nil)
-		stats = ingRegion.ToTable(p, tbl)
-		ingRegion.MergeTuned("merge", tun).Discard()
-	} else {
-		s := src.Punctuate(ic.CommitEvery).TransactionsWindow(p, window)
-		ingRegion := s.Parallelize(lanes, nil)
-		stats = ingRegion.ToTable(p, tbl)
-		if window > 1 {
-			ingRegion.MergeBatched("merge", window).Discard()
-		} else {
-			ingRegion.Merge("merge").Discard()
-		}
-	}
+	stats, tun := ic.toTable(src, p, tbl)
 
 	start := time.Now()
 	feedTop.Start()
@@ -225,7 +199,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	}
 	res.CommitTxns, res.CommitBatches = group.CommitStats()
 	res.ElemsPerSec = float64(res.DownElems) / elapsed.Seconds()
-	if tun != nil {
+	if ic.Window == AutoWindow {
 		ts := tun.Stats()
 		res.TunedWindow = ts.Window
 		res.TunedGrows = ts.Grows
@@ -241,10 +215,7 @@ func PrintPipeline(w io.Writer, r PipelineResult) {
 	if !c.Fuse {
 		wiring = "unfused (merge → re-route)"
 	}
-	window := fmt.Sprint(max(c.Ingest.Window, 1))
-	if c.Ingest.Auto {
-		window = fmt.Sprintf("auto(→%d, +%d/-%d)", r.TunedWindow, r.TunedGrows, r.TunedShrinks)
-	}
+	window := c.Ingest.windowLabel(r.TunedWindow, r.TunedGrows, r.TunedShrinks)
 	fmt.Fprintf(w, "pipeline %s protocol=%s backend=%s elements=%d commit-every=%d lanes=%d window=%s partitions=%d\n",
 		wiring, c.Ingest.Protocol, c.Ingest.Backend, c.Ingest.Elements, c.Ingest.CommitEvery,
 		max(c.Ingest.Lanes, 1), window, c.Partitions)

@@ -1,15 +1,19 @@
 package stream
 
-// Self-tuning commit spine. The static pipeline knobs — the
-// TransactionsWindow size and the spine's fixed linger — bake in one
-// point of the throughput/latency trade: how many transactions may be in
-// flight bounds how many boundaries the spine can batch into one
-// group-commit submission, and the linger bounds how long it holds out
-// for them. The right values depend on the store's observed fsync
-// latency: on a synced LSM a bigger window keeps amortizing the fsync
-// over more transactions; on a memory store batching buys little and a
-// large window only defers decisions. AutoTune replaces both constants
-// with a measured controller:
+// Commit-window controller. How many transactions of a query may be in
+// flight bounds how many boundaries the commit spine can batch into one
+// group-commit submission, and the spine's linger bounds how long it
+// holds out for them. An AutoTuner is the one mechanism that sets both,
+// shared by the two ends of a pipeline (TransactionsTuned upstream,
+// MergeTuned at the region barrier). A pinned tuner (NewFixedTuner) never
+// moves: its window is fixed and its linger stays spineLinger, which is
+// the static spine; Transactions is the pinned-1 case.
+//
+// The self-tuning form (NewAutoTuner) exists because the right window
+// depends on the store's observed fsync latency: on a synced LSM a bigger
+// window keeps amortizing the fsync over more transactions; on a memory
+// store batching buys little and a large window only defers decisions.
+// The controller measures instead of guessing:
 //
 //   - The spine worker times every clean commit run (the CommitChain
 //     submission — admission, the coalesced store Apply with its fsync,
@@ -26,11 +30,12 @@ package stream
 //     decided transaction past MaxLinger.
 //
 // Tuning changes BATCHING GEOMETRY only: which transactions commit and
-// which abort is identical to any static window (the windowed
+// which abort is identical to any pinned window (the windowed
 // transactions ride one txn.Chain either way, and a chain of one is a
 // plain transaction) — pinned by TestPropertyAdaptiveEquivalence.
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -81,13 +86,13 @@ type AutoTune struct {
 	Settle int
 }
 
-// AutoTuner is the shared state between the two ends of a self-tuning
-// spine: TransactionsTuned reads the current window at every transaction
-// begin, the MergeTuned spine worker reads window and linger while
-// collecting batches and feeds observations back. Create one per
-// pipeline (NewAutoTuner) and pass it to both ends; the controller logic
-// runs only on the spine worker goroutine, so all decision state is
-// single-writer.
+// AutoTuner is the shared state between the two ends of a commit spine:
+// TransactionsTuned reads the current window at every transaction begin,
+// the MergeTuned spine worker reads window and linger while collecting
+// batches and feeds observations back. Create one per pipeline
+// (NewAutoTuner, or NewFixedTuner for a static window) and pass it to
+// both ends; the controller logic runs only on the spine worker
+// goroutine, so all decision state is single-writer.
 type AutoTuner struct {
 	cfg AutoTune
 
@@ -113,6 +118,9 @@ type AutoTuner struct {
 	prevWindow int
 	probing    bool
 	hold       int
+
+	// pinned marks a NewFixedTuner: observations never move the knobs.
+	pinned bool
 }
 
 // NewAutoTuner creates the controller for one self-tuning pipeline,
@@ -134,6 +142,36 @@ func NewAutoTuner(cfg AutoTune) *AutoTuner {
 	a.window.Store(1)
 	a.lingerNs.Store(int64(spineLinger))
 	return a
+}
+
+// NewFixedTuner creates a pinned tuner: its window is fixed at window and
+// its linger at the spine's floor, so the pipeline runs the static spine.
+// NewFixedTuner(1) is the strictly serialized Transactions.
+func NewFixedTuner(window int) *AutoTuner {
+	if window < 1 {
+		panic("stream: NewFixedTuner needs window >= 1")
+	}
+	a := NewAutoTuner(AutoTune{MaxWindow: window})
+	a.pinned = true
+	a.window.Store(int64(window))
+	return a
+}
+
+// describe renders the tuner's construction-time plan decision — the one
+// rendering both of a pipeline's ends record (Transactions and the
+// spine): "window=N (fixed)" for a pinned tuner, "window=auto" for the
+// controller.
+func (a *AutoTuner) describe() string {
+	if a.pinned {
+		return fmt.Sprintf("window=%d (fixed)", a.Window())
+	}
+	return "window=auto"
+}
+
+// live renders the tuner's current knob positions for a plan step.
+func (a *AutoTuner) live() string {
+	st := a.Stats()
+	return fmt.Sprintf("window=%d linger=%s grows=%d shrinks=%d", st.Window, st.Linger, st.Grows, st.Shrinks)
 }
 
 // Window returns the controller's current transaction window, in
@@ -190,8 +228,12 @@ func (a *AutoTuner) noteEnqueue(queueLen int) {
 
 // observeBatch feeds one timed commit submission (n transactions decided
 // in d) into the controller; every Settle batches it re-decides the
-// window and linger. Spine-worker goroutine only.
+// window and linger. A pinned tuner ignores it. Spine-worker goroutine
+// only.
 func (a *AutoTuner) observeBatch(n int, d time.Duration) {
+	if a.pinned {
+		return
+	}
 	a.accTxns += n
 	a.accBatches++
 	a.accNs += d.Nanoseconds()

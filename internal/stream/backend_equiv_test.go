@@ -24,8 +24,8 @@ var backendEquivSpecs = []string{
 }
 
 // runSpineOn drives one script through the full commit spine —
-// Punctuate → TransactionsWindow → Parallelize → ToTable →
-// MergeBatched — over the given backend spec with synchronous commits,
+// Punctuate → TransactionsTuned → Parallelize → ToTable → MergeTuned,
+// under one pinned tuner — over the given backend spec with synchronous commits,
 // and returns the committed table content and the commit stats.
 func runSpineOn(t *testing.T, spec string, script []scriptItem, punctuateN, window, lanes int) (rows map[string]string, writes, commits, aborts int64, commitTxns uint64) {
 	t.Helper()
@@ -56,9 +56,9 @@ func runSpineOn(t *testing.T, spec string, script []scriptItem, punctuateN, wind
 		}
 		return nil
 	})
-	region := src.Punctuate(punctuateN).TransactionsWindow(p, window).Parallelize(lanes, nil)
+	region, merge := pinnedRegion(src.Punctuate(punctuateN), p, window, lanes)
 	stats := region.ToTable(p, tbl)
-	region.MergeBatched("merge", window).Discard()
+	merge().Discard()
 	if err := top.Run(); err != nil {
 		t.Fatalf("spec %q: %v", spec, err)
 	}

@@ -36,12 +36,17 @@
 // per-key order and per-transaction atomicity hold end to end with no
 // sequential stage between a source and a downstream sink.
 //
-// The commit spine fuses too: TransactionsWindow runs a bounded window
-// of a query's transactions concurrently, ParallelRegion.MergeBatched
-// submits consecutive lane-complete transactions to the group-commit
-// pipeline as one cross-transaction batch (one fsync for N small
-// transactions), and ParallelRegion.Reparallelize wires a feed region's
-// partitions directly into a downstream region's lanes when the
+// Stream.ToTable is the one-lane region closed by Merge, so a region is
+// the only TO_TABLE write path, and Merge and MergeTuned share one
+// per-transaction verdict path.
+//
+// The commit spine fuses too: TransactionsTuned runs a bounded window of
+// a query's transactions concurrently, ParallelRegion.MergeTuned submits
+// consecutive lane-complete transactions to the group-commit pipeline as
+// one cross-transaction batch (one fsync for N small transactions), and
+// one AutoTuner — pinned (NewFixedTuner) or self-tuning (NewAutoTuner) —
+// sizes the window for both. ParallelRegion.Reparallelize wires a feed
+// region's partitions directly into a downstream region's lanes when the
 // partitioning matches — no merge hop, one spanning barrier.
 //
 // See DESIGN.md for the architecture narrative and the ordering /

@@ -9,11 +9,43 @@ import (
 )
 
 // TestSpineDrainsCleanlyOnGroupFailure: a sticky sync failure mid-run
-// poisons the commit group; the fused spine must surface exactly one
-// topology failure (wrapping txn.ErrGroupFailed), account every later
-// boundary as an abort, and drain to completion — no wedged worker, no
-// post-failure commit acknowledged.
+// poisons the commit group; every TO_TABLE closer — the synchronous Merge
+// barrier, the fused spine (MergeTuned, pinned window 4) and
+// Stream.ToTable — must surface exactly one topology failure (wrapping
+// txn.ErrGroupFailed), account every later boundary as an abort, and
+// drain to completion — no wedged worker, no post-failure commit
+// acknowledged.
 func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
+	closers := []struct {
+		name string
+		wire func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats
+	}{
+		{"merge", func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			region := s.Transactions(p).Parallelize(2, nil)
+			stats := region.ToTable(p, tbl)
+			region.Merge("merge").Discard()
+			return stats
+		}},
+		{"merge-tuned", func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			region, merge := pinnedRegion(s, p, 4, 2)
+			stats := region.ToTable(p, tbl)
+			merge().Discard()
+			return stats
+		}},
+		{"stream-totable", func(s *Stream, p txn.Protocol, tbl *txn.Table) *ToTableStats {
+			out, stats := s.Transactions(p).ToTable(p, tbl)
+			out.Discard()
+			return stats
+		}},
+	}
+	for _, c := range closers {
+		t.Run(c.name, func(t *testing.T) {
+			drainsCleanlyOnGroupFailure(t, c.wire)
+		})
+	}
+}
+
+func drainsCleanlyOnGroupFailure(t *testing.T, wire func(*Stream, txn.Protocol, *txn.Table) *ToTableStats) {
 	inner := kv.NewMem()
 	fault := kv.NewFault(inner)
 	badDisk := errors.New("injected: EIO")
@@ -39,9 +71,7 @@ func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 		}
 		return nil
 	})
-	region := src.Punctuate(commitEvery).TransactionsWindow(p, 4).Parallelize(2, nil)
-	stats := region.ToTable(p, tbl)
-	region.MergeBatched("merge", 4).Discard()
+	stats := wire(src.Punctuate(commitEvery), p, tbl)
 
 	// The run must TERMINATE (a wedged spine worker would hang the test)
 	// and surface the fail-stop error through the region's error path.
@@ -51,6 +81,9 @@ func TestSpineDrainsCleanlyOnGroupFailure(t *testing.T) {
 	}
 	if !errors.Is(err, txn.ErrGroupFailed) || !errors.Is(err, badDisk) {
 		t.Fatalf("topology error = %v, want ErrGroupFailed wrapping the injected EIO", err)
+	}
+	if n := len(top.errs); n != 1 {
+		t.Fatalf("topology recorded %d errors, want exactly 1: %v", n, top.errs)
 	}
 
 	if group.Err() == nil {

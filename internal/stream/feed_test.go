@@ -50,10 +50,10 @@ func feedEnv(t *testing.T, slots int) (txn.Protocol, *txn.Table) {
 }
 
 // runScriptIngest pushes the script through source → Punctuate →
-// Transactions(Window) → (lanes) → TO_TABLE with the feed topology
-// already started, then stops the feed and waits for it to drain. With
-// window > 1 the ingest side runs the fused commit spine: windowed
-// transactions and a batching merge barrier (batch = window).
+// TransactionsTuned → (lanes) → TO_TABLE → MergeTuned, under a tuner
+// pinned at window, with the feed topology already started, then stops
+// the feed and waits for it to drain. With window > 1 the commit spine
+// batches up to window transactions per group commit.
 func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scriptItem, punctuateN, lanes, window int, feedTop *Topology, stopFeed func()) {
 	t.Helper()
 	top := New("ingest")
@@ -67,20 +67,9 @@ func runScriptIngest(t *testing.T, p txn.Protocol, tbl *txn.Table, script []scri
 		}
 		return nil
 	})
-	s := src.Punctuate(punctuateN).TransactionsWindow(p, window)
-	switch {
-	case window > 1:
-		region := s.Parallelize(lanes, nil)
-		region.ToTable(p, tbl)
-		region.MergeBatched("merge", window).Discard()
-	case lanes > 1:
-		region := s.Parallelize(lanes, nil)
-		region.ToTable(p, tbl)
-		region.Merge("merge").Discard()
-	default:
-		s, _ = s.ToTable(p, tbl)
-		s.Discard()
-	}
+	region, merge := pinnedRegion(src.Punctuate(punctuateN), p, window, lanes)
+	region.ToTable(p, tbl)
+	merge().Discard()
 	feedTop.Start()
 	if err := top.Run(); err != nil {
 		t.Fatal(err)

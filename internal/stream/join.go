@@ -31,7 +31,12 @@ type Joined struct {
 // sit UPSTREAM of the query's final ToTable — the operator that flips the
 // last consistency-protocol flag commits the transaction, and operator
 // stages run concurrently, so a join placed after it may find the
-// transaction already finished (such elements are dropped).
+// transaction already finished (such elements are dropped). A ToTable
+// applies a transaction's writes when the transaction's punctuation
+// reaches it (its lanes flush their write segments at the boundary), so
+// a join downstream of a ToTable on the same table never sees that
+// transaction's writes from it: the transaction's data elements pass the
+// ToTable before the flush.
 func (s *Stream) TableJoin(name string, p txn.Protocol, tbl *txn.Table, fn func(Joined) (Tuple, bool)) *Stream {
 	out := s.t.newStream()
 	s.consume(name, func(b []Element) {

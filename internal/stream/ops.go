@@ -125,82 +125,46 @@ func (s *Stream) Punctuate(n int) *Stream {
 // the previous transaction's decision must overlap with the downstream
 // operators processing that transaction, which requires a goroutine
 // boundary. The query's transactions are strictly serialized — batch N+1
-// begins only after batch N is decided; TransactionsWindow relaxes this
-// to a bounded window for the fused commit spine.
+// begins only after batch N is decided. It is TransactionsTuned with a
+// tuner pinned at window 1 (NewFixedTuner(1)).
 func (s *Stream) Transactions(p txn.Protocol, tables ...*txn.Table) *Stream {
-	return s.TransactionsWindow(p, 1, tables...)
+	return s.TransactionsTuned(p, NewFixedTuner(1), tables...)
 }
 
-// TransactionsWindow is Transactions with a bounded pipeline of undecided
-// transactions: up to window consecutive transactions of the query may be
-// in flight at once, the enabling half of the fused commit spine
-// (ParallelRegion.MergeBatched submits the lane-complete ones to the
-// group-commit pipeline as one batch). window == 1 is exactly
-// Transactions: batch N+1 begins only after batch N is decided.
+// TransactionsTuned is Transactions with a bounded pipeline of undecided
+// transactions: up to tun.Window() consecutive transactions of the query
+// may be in flight at once, the enabling half of the fused commit spine
+// (ParallelRegion.MergeTuned submits the lane-complete ones to the
+// group-commit pipeline as one batch). The bound is re-read at every
+// transaction begin, so a controller's resizes apply from the next
+// transaction on while in-flight ones are never disturbed. A pinned tuner
+// (NewFixedTuner) holds a static window; NewAutoTuner sizes it from
+// observed commit latency. Pass the SAME tuner to the region's
+// MergeTuned, which closes the feedback loop.
 //
-// With window > 1 the transactions are attached to one txn.Chain, which
-// keeps the serial-order semantics honest while they overlap: a chain
-// successor's First-Committer-Wins check treats its predecessors' writes
-// as serial history (not conflicts), and S2PL's wait-die lets a successor
-// wait out a predecessor's locks. What a window does NOT preserve is read
-// visibility BETWEEN the windowed transactions: transaction N+1 pins its
-// snapshot before transaction N commits, so protocol reads inside the
-// window may observe the pre-window state. Use windows on blind-write
-// ingest spines (TO_TABLE pipelines); keep window == 1 for queries that
-// read the states they maintain.
-func (s *Stream) TransactionsWindow(p txn.Protocol, window int, tables ...*txn.Table) *Stream {
-	if window < 1 {
-		panic("stream: TransactionsWindow needs window >= 1")
-	}
-	desc := fmt.Sprintf("protocol=%s window=%d (serialized)", p.Name(), window)
-	if window > 1 {
-		desc = fmt.Sprintf("protocol=%s window=%d (chained)", p.Name(), window)
-	}
-	return s.transactionsPipeline(p, func() int { return window }, window > 1, desc, nil, tables...)
-}
-
-// TransactionsTuned is TransactionsWindow with the window under control
-// of an AutoTuner instead of a constant: the bound is re-read at every
-// transaction begin, so the controller's resizes apply from the next
-// transaction on while in-flight ones are never disturbed. The
-// transactions always ride one txn.Chain (a chain of one is a plain
-// transaction), so any window the controller picks has exactly the
-// commit/abort behavior of the same static window — only batching
-// geometry moves. Pass the SAME tuner to the region's MergeTuned, which
-// closes the feedback loop. The visibility caveat of TransactionsWindow
-// applies whenever the tuner grows past 1: use on blind-write ingest
-// spines.
+// The transactions are attached to one txn.Chain (a chain of one is a
+// plain transaction), which keeps the serial-order semantics honest while
+// they overlap: a chain successor's First-Committer-Wins check treats its
+// predecessors' writes as serial history (not conflicts), and S2PL's
+// wait-die lets a successor wait out a predecessor's locks. What a window
+// above 1 does NOT preserve is read visibility BETWEEN the windowed
+// transactions: transaction N+1 pins its snapshot before transaction N
+// commits, so protocol reads inside the window may observe the
+// pre-window state. Use windows on blind-write ingest spines (TO_TABLE
+// pipelines); keep window 1 (Transactions) for queries that read the
+// states they maintain.
 func (s *Stream) TransactionsTuned(p txn.Protocol, tun *AutoTuner, tables ...*txn.Table) *Stream {
 	if tun == nil {
 		panic("stream: TransactionsTuned needs a tuner")
 	}
-	desc := fmt.Sprintf("protocol=%s window=auto (tuner, chained)", p.Name())
-	return s.transactionsPipeline(p, tun.Window, true, desc, tun, tables...)
-}
-
-// transactionsPipeline is the shared implementation of Transactions /
-// TransactionsWindow / TransactionsTuned: window yields the current
-// in-flight bound (constant or tuner-driven), chained attaches the
-// shared txn.Chain. desc and tun feed the recorded plan (explain.go):
-// desc states the window decision, tun (when non-nil) adds the live
-// controller position to the step's runtime figures.
-func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained bool, desc string, tun *AutoTuner, tables ...*txn.Table) *Stream {
 	out := s.t.newStream()
 	occ := occOf(out)
-	live := occ
-	if tun != nil {
-		live = func() string {
-			st := tun.Stats()
-			return fmt.Sprintf("%s, window=%d linger=%s grows=%d shrinks=%d", occ(), st.Window, st.Linger, st.Grows, st.Shrinks)
-		}
-	}
-	s.t.note("operator", "transactions", desc, live)
+	s.t.note("operator", "transactions", fmt.Sprintf("protocol=%s %s (chained)", p.Name(), tun.describe()), func() string {
+		return occ() + ", " + tun.live()
+	})
 	var cur *txn.Txn
 	var inflight []*txn.Txn
-	var chain *txn.Chain
-	if chained {
-		chain = txn.NewChain()
-	}
+	chain := txn.NewChain()
 	ob := getBatch()
 	s.consume("transactions", func(b []Element) {
 		for _, e := range b {
@@ -215,7 +179,7 @@ func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained
 				// txn.Chain). A loop, not an if: a tuner may shrink the
 				// bound below the current in-flight count, and the excess
 				// must drain before the next transaction begins.
-				for len(inflight) >= window() {
+				for len(inflight) >= tun.Window() {
 					// Ship everything accumulated so far FIRST: the
 					// awaited transaction's COMMIT must reach the
 					// downstream coordinator, or its decision — the very
@@ -233,9 +197,7 @@ func (s *Stream) transactionsPipeline(p txn.Protocol, window func() int, chained
 					cur = nil
 					continue
 				}
-				if chain != nil {
-					tx.SetChain(chain)
-				}
+				tx.SetChain(chain)
 				if err := tx.Declare(tables...); err != nil {
 					s.t.fail("transactions", fmt.Errorf("declare: %w", err))
 					_ = p.Abort(tx)

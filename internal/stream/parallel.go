@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sistream/internal/txn"
@@ -27,24 +28,26 @@ import (
 //     lane per boundary), then parks; the last lane to arrive becomes the
 //     commit coordinator and fires the single CommitState/Abort only
 //     after every lane has acknowledged the boundary. The transaction
-//     therefore commits all lanes' writes atomically — the same
-//     per-transaction atomicity the sequential TO_TABLE provides — and
-//     the merged output stream carries each punctuation exactly once, at
-//     a position consistent with every data element of its transaction.
+//     therefore commits all lanes' writes atomically, and the merged
+//     output stream carries each punctuation exactly once, at a position
+//     consistent with every data element of its transaction.
 //
-// Merge commits synchronously at the barrier; MergeBatched adds the fused
-// commit spine — the coordinator defers the commit work to a spine worker
-// that batches consecutive lane-complete transactions into ONE
-// group-commit submission (see commitSpine) — and Reparallelize wires a
-// region's lanes directly into a downstream region when the partitioning
-// matches, skipping the merge/re-route hop entirely.
+// A region is the engine's only TO_TABLE write path: Stream.ToTable is
+// the one-lane region closed with Merge. Merge commits synchronously at
+// the barrier; MergeTuned adds the fused commit spine — the coordinator
+// defers the commit work to a spine worker that batches consecutive
+// lane-complete transactions into ONE group-commit submission (see
+// commitSpine) — and Reparallelize wires a region's lanes directly into a
+// downstream region when the partitioning matches, skipping the
+// merge/re-route hop entirely. Both closers reach each transaction's
+// verdict through the same code (regionCommit).
 //
 // What is NOT preserved is the interleaving of data elements of one
 // transaction across different keys: lanes run concurrently, so the
 // merged stream orders them arbitrarily between two punctuations (the
 // property test in parallel_test.go pins down exactly this contract:
 // identical per-transaction element multisets, identical table contents
-// and stats for every lane count, against the sequential reference).
+// and stats for every lane count, against the one-lane reference).
 
 // laneKey is the default routing hash: txn.DefaultKeyHash of the tuple
 // key — the SAME function the partitioned change feed defaults to, so
@@ -118,18 +121,14 @@ func (k *KeyFn) keyHash() func(string) uint64 {
 // ParallelRegion is a parallel section of a topology: P keyed lanes
 // between a Parallelize router and a Merge barrier. Build the per-lane
 // pipeline with Apply and ToTable, then close the region with Merge or
-// MergeBatched — or hand the lanes to a downstream region with
+// MergeTuned — or hand the lanes to a downstream region with
 // Reparallelize. A region whose lanes are never merged does not run.
 type ParallelRegion struct {
 	t     *Topology
 	lanes []*Stream
-	// actions run on the commit coordinator (the last lane to reach a
-	// punctuation barrier), in registration order, with every lane parked
-	// and every lane's segment flushed — see ToTable. MergeBatched defers
-	// them to the commit spine, which requires every action to be a
-	// ToTable registration (regs mirrors them one to one).
-	actions []func(Element)
-	regs    []laneCommitReg
+	// regs are the region's ToTable registrations, in registration order;
+	// the closing barrier reaches every transaction's verdict over them.
+	regs []laneCommitReg
 	// key is the routing token the region was partitioned with (nil = the
 	// default key hash). Token identity is what makes direct
 	// partition→lane fusion verifiable — see Reparallelize.
@@ -248,7 +247,7 @@ func (r *ParallelRegion) Apply(fn func(lane int, s *Stream) *Stream) *ParallelRe
 // txn.DefaultKeyHash; a custom *KeyFn proves equality by pointer
 // identity, see KeyFn) — partition i is wired directly into lane i: no
 // Merge goroutine, no re-hash, no channel hop; the two regions become
-// one, with a single barrier (the downstream Merge/MergeBatched)
+// one, with a single barrier (the downstream Merge/MergeTuned)
 // re-serializing punctuations exactly once for the combined span. A
 // single-lane region fuses with a single-lane request regardless of token
 // (there is nothing to route).
@@ -258,7 +257,7 @@ func (r *ParallelRegion) Apply(fn func(lane int, s *Stream) *Stream) *ParallelRe
 // why the token exists), the region is closed with a Merge barrier and
 // re-routed through a fresh Parallelize — correct, just not fused. Either
 // way the caller continues on the returned region and must close it with
-// Merge or MergeBatched.
+// Merge or MergeTuned.
 func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *ParallelRegion {
 	r.checkOpen("Reparallelize")
 	if p < 1 {
@@ -267,13 +266,7 @@ func (r *ParallelRegion) Reparallelize(name string, p int, keyFn *KeyFn) *Parall
 	if p == len(r.lanes) && (p == 1 || keyFn == r.key) {
 		r.merged = true
 		r.t.note("region", name, fmt.Sprintf("fused lane-for-lane (lanes=%d, matching partitioning — no merge, no re-route)", p), nil)
-		return &ParallelRegion{
-			t:       r.t,
-			lanes:   r.lanes,
-			actions: r.actions,
-			regs:    r.regs,
-			key:     r.key,
-		}
+		return &ParallelRegion{t: r.t, lanes: r.lanes, regs: r.regs, key: r.key}
 	}
 	r.t.note("region", name, "reroute (partitioning mismatch: merge + re-hash)", nil)
 	return r.Merge(name).Parallelize(p, keyFn)
@@ -305,9 +298,7 @@ type laneTableCtl struct {
 // fail records a lane flush failure of tx. Only the FIRST failure of the
 // transaction counts: one abort for the abort family (a First-Committer-
 // Wins loss, or ErrFinished because another lane's failure already
-// aborted the transaction), a topology failure otherwise — mirroring the
-// sequential TO_TABLE, which poisons on the first failing write and
-// counts a single abort for the transaction.
+// aborted the transaction), a topology failure otherwise.
 func (c *laneTableCtl) fail(t *Topology, op string, stats *ToTableStats, tx *txn.Txn, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -340,10 +331,10 @@ func (c *laneTableCtl) clear(tx *txn.Txn) {
 }
 
 // laneCommitReg is one ToTable's registration with the region's commit
-// machinery: the protocol and table it maintains, its live stats, and its
-// poisoning state. The barrier actions and the commit spine both work off
-// these.
+// machinery: the operator name failures are attributed to, the protocol
+// and table it maintains, its live stats, and its poisoning state.
 type laneCommitReg struct {
+	name  string
 	p     txn.Protocol
 	tbl   *txn.Table
 	stats *ToTableStats
@@ -352,7 +343,7 @@ type laneCommitReg struct {
 
 // ToTable adds a per-lane TO_TABLE write path to every lane of the
 // region, maintaining tbl inside the transaction attached to the
-// elements — the parallel analogue of Stream.ToTable:
+// elements (Stream.ToTable is its one-lane case):
 //
 //   - Each lane buffers its data tuples into a private txn.Segment (value
 //     copies happen lane-locally, in parallel, with no shared latch).
@@ -366,17 +357,16 @@ type laneCommitReg struct {
 //   - The commit itself (CommitState on COMMIT, Abort on ROLLBACK, global
 //     abort of poisoned transactions) runs once per transaction, at the
 //     region's closing barrier: synchronously on the coordinator under
-//     Merge, deferred to the batching commit spine under MergeBatched.
+//     Merge, deferred to the batching commit spine under MergeTuned.
 //
 // Poisoning is flush-granular: a lane discovers a write failure when its
-// segment flushes at a boundary, not per element as the sequential
-// operator does, so under injected mid-transaction faults the Writes
-// count may include same-transaction writes a sequential run would have
-// skipped. Commits, Aborts and committed table contents are identical for
-// every lane count (the sequential engine discards a poisoned
-// transaction's buffered writes just the same).
+// segment flushes at a boundary, so under injected mid-transaction faults
+// the Writes count may include same-transaction writes after the failing
+// one. Commits, Aborts and committed table contents are identical for
+// every lane count (a poisoned transaction's writes are discarded either
+// way).
 //
-// The returned stats object is live. As with chained sequential ToTable
+// The returned stats object is live. As with chained Stream.ToTable
 // operators, maintaining several tables requires declaring them all on
 // the transaction (stream.Transactions' tables parameter) so the LAST
 // CommitState fires the global commit.
@@ -447,51 +437,13 @@ func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 			}
 			emit(e)
 		}, func(emit func(Element)) {
-			// Input ended mid-transaction: apply the dangling segment (the
-			// sequential engine applies pending runs at batch boundaries
-			// too); the transaction itself is rolled back upstream.
+			// Input ended mid-transaction: apply the dangling segment so
+			// Writes counts it; the transaction itself is rolled back
+			// upstream.
 			flush(cur, true)
 		})
 	}
-	reg := laneCommitReg{p: p, tbl: tbl, stats: stats, ctl: ctl}
-	r.regs = append(r.regs, reg)
-	r.actions = append(r.actions, func(e Element) {
-		switch e.Kind {
-		case KindCommit:
-			if e.Tx == nil {
-				return
-			}
-			if ctl.isPoisoned(e.Tx) {
-				// Some lane already gave up on the transaction; make the
-				// abort global (the abort itself was already counted).
-				if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-					r.t.fail(name, err)
-				}
-				ctl.clear(e.Tx)
-				return
-			}
-			if err := p.CommitState(e.Tx, tbl); err != nil {
-				if txn.IsAbort(err) || err == txn.ErrFinished {
-					stats.Aborts.Add(1)
-				} else {
-					r.t.fail(name, err)
-				}
-				return
-			}
-			stats.Commits.Add(1)
-		case KindRollback:
-			if e.Tx == nil {
-				return
-			}
-			// Lane segments were flushed before the barrier (Writes counts
-			// them, as in the sequential engine); Abort discards them.
-			if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-				r.t.fail(name, err)
-			}
-			ctl.clear(e.Tx)
-			stats.Aborts.Add(1)
-		}
-	})
+	r.regs = append(r.regs, laneCommitReg{name: name, p: p, tbl: tbl, stats: stats, ctl: ctl})
 	return stats
 }
 
@@ -499,9 +451,9 @@ func (r *ParallelRegion) ToTable(p txn.Protocol, tbl *txn.Table) *ToTableStats {
 // barrier over the region's lane collectors. Lanes forward data batches
 // to the merged output as they arrive; at a punctuation each lane parks,
 // and the LAST lane to arrive becomes the coordinator for that boundary —
-// it runs the region's commit work (onPunct: the registered actions under
-// Merge, a spine enqueue under MergeBatched), emits the punctuation into
-// the merged stream exactly once, and releases the parked lanes.
+// it runs the region's commit work (onPunct: the verdict under Merge, a
+// spine enqueue under MergeTuned) while holding mu, emits the punctuation
+// into the merged stream exactly once, and releases the parked lanes.
 type laneBarrier struct {
 	n   int
 	out *Stream
@@ -515,7 +467,7 @@ type laneBarrier struct {
 // sync is called by a lane collector holding a punctuation element. It
 // returns when the boundary is fully acknowledged and its commit work is
 // either done (Merge) or handed to the spine in boundary order
-// (MergeBatched).
+// (MergeTuned).
 func (b *laneBarrier) sync(e Element) {
 	b.mu.Lock()
 	b.arrived++
@@ -528,9 +480,7 @@ func (b *laneBarrier) sync(e Element) {
 	// Coordinator: every lane has acknowledged the boundary (and, per
 	// ToTable's contract, flushed its segment before arriving here).
 	b.arrived = 0
-	if b.onPunct != nil {
-		b.onPunct(e)
-	}
+	b.onPunct(e)
 	pb := getBatch()
 	pb = append(pb, e)
 	b.out.ch <- pb
@@ -544,103 +494,68 @@ func (b *laneBarrier) sync(e Element) {
 // transaction between that transaction's BOT and COMMIT/ROLLBACK, and
 // per-key element order preserved (cross-key order within a transaction
 // is arbitrary — lanes run concurrently). Merge must be called exactly
-// once per region; the region's commit actions (ToTable) run at its
-// barrier, synchronously — the transaction is globally committed before
-// its COMMIT punctuation is emitted downstream.
+// once per region; each transaction's verdict (regionCommit.decide) runs
+// at its barrier, synchronously — the transaction is globally committed
+// before its COMMIT punctuation is emitted downstream.
 func (r *ParallelRegion) Merge(name string) *Stream {
-	actions := r.actions
-	return r.close(name, func(e Element) {
-		for _, act := range actions {
-			act(e)
+	rc := &regionCommit{t: r.t, regs: r.regs}
+	out := r.close(name, func(e Element) {
+		if e.Tx != nil {
+			rc.decide(e.Kind, e.Tx)
 		}
 	}, nil)
+	r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)), occOf(out))
+	return out
 }
 
-// MergeBatched closes the region like Merge but defers the commit work to
+// MergeTuned closes the region like Merge but defers the commit work to
 // the region's commit spine: the barrier coordinator hands each decided
 // transaction to a spine worker and releases the lanes immediately, so
 // the next transaction's data flows while the previous commits. The
-// worker batches up to maxBatch consecutive lane-complete transactions
-// into ONE group-commit submission (txn.ChainCommitter) — one leader
-// tenure, one coalesced store batch and fsync, one LastCTS publish for
-// the whole run; aborts (rollbacks, poisoned transactions) split the
-// batch and never poison their neighbors. Pair it with a
-// TransactionsWindow upstream (window ≈ maxBatch), or the serialized
-// Transactions operator will never let a second transaction queue behind
-// the first.
+// worker batches up to the tuner's current window of consecutive
+// lane-complete transactions into ONE group-commit submission
+// (txn.ChainCommitter) — one leader tenure, one coalesced store batch and
+// fsync, one LastCTS publish for the whole run; aborts (rollbacks,
+// poisoned transactions) split the batch and never poison their
+// neighbors. The linger follows the tuner, and every clean commit run is
+// timed and fed back to it. Pair it with a TransactionsTuned upstream
+// sharing the SAME tuner — the window bound and the batch ceiling then
+// move together, which is the whole feedback loop; with a pinned tuner
+// (NewFixedTuner) both stay put.
 //
 // The merged stream's framing is identical to Merge's — each punctuation
 // exactly once, in order — but a COMMIT punctuation may be emitted
 // downstream BEFORE its transaction is globally committed (durable and
 // visible); the transaction's Done channel still closes only at the real
-// commit. Every commit action of the region must come from ToTable, and
-// all ToTable calls must share one protocol.
-func (r *ParallelRegion) MergeBatched(name string, maxBatch int) *Stream {
-	if maxBatch < 1 {
-		panic("stream: MergeBatched needs maxBatch >= 1")
-	}
-	sp := newCommitSpine(r.t, name, r.spineRegs("MergeBatched"), maxBatch)
-	return r.close(name, sp.enqueue, sp)
-}
-
-// MergeTuned closes the region like MergeBatched but puts the spine's
-// batching geometry under an AutoTuner: the batch ceiling is the tuner's
-// current window (bounded by its MaxWindow), the linger follows the
-// tuner's inter-arrival estimate, and every clean commit run is timed
-// and fed back to the controller. Pair it with a TransactionsTuned
-// upstream sharing the SAME tuner — the window bound and the batch
-// ceiling then move together, which is the whole feedback loop. All
-// other MergeBatched contracts (framing, early COMMIT emission, ToTable/
-// one-protocol requirements) apply unchanged.
+// commit. All ToTable calls of the region must share one protocol.
 func (r *ParallelRegion) MergeTuned(name string, tun *AutoTuner) *Stream {
 	if tun == nil {
 		panic("stream: MergeTuned needs a tuner")
 	}
-	sp := newCommitSpine(r.t, name, r.spineRegs("MergeTuned"), tun.cfg.MaxWindow)
-	sp.tun = tun
-	return r.close(name, sp.enqueue, sp)
-}
-
-// spineRegs validates the region's commit actions for a batched close
-// and returns the ToTable registrations the spine works off.
-func (r *ParallelRegion) spineRegs(op string) []laneCommitReg {
-	if len(r.regs) != len(r.actions) {
-		panic("stream: " + op + " requires all region commit actions to come from ToTable")
-	}
-	for _, reg := range r.regs[1:] {
-		if reg.p != r.regs[0].p {
-			panic("stream: " + op + " requires all region ToTable calls to share one protocol")
+	for i := 1; i < len(r.regs); i++ {
+		if r.regs[i].p != r.regs[0].p {
+			panic("stream: MergeTuned requires all region ToTable calls to share one protocol")
 		}
 	}
-	return r.regs
+	sp := newCommitSpine(r.t, r.regs, tun)
+	out := r.close(name, sp.enqueue, sp)
+	occ := occOf(out)
+	r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d %s", len(r.lanes), tun.describe()), func() string {
+		return fmt.Sprintf("%s, queue %d/%d, %s", occ(), len(sp.q), cap(sp.q), tun.live())
+	})
+	return out
 }
 
-// close implements Merge/MergeBatched: lane collectors, the punctuation
-// barrier with the given coordinator hook, and (for the batched variant)
-// the spine worker whose queue is closed once every lane is done.
+// close implements Merge/MergeTuned: lane collectors, the punctuation
+// barrier with the given coordinator hook, and (for the spine) the worker
+// whose queue the last lane to finish closes.
 func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpine) *Stream {
 	r.checkOpen("Merge")
 	r.merged = true
 	out := r.t.newStream()
-	switch {
-	case sp == nil:
-		r.t.note("spine", name, fmt.Sprintf("merge barrier, lanes=%d (synchronous commit at barrier)", len(r.lanes)), occOf(out))
-	case sp.tun != nil:
-		occ := occOf(out)
-		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=auto (tuner)", len(r.lanes)), func() string {
-			st := sp.tun.Stats()
-			return fmt.Sprintf("%s, queue %d/%d, window=%d linger=%s grows=%d shrinks=%d",
-				occ(), len(sp.q), cap(sp.q), st.Window, st.Linger, st.Grows, st.Shrinks)
-		})
-	default:
-		occ := occOf(out)
-		r.t.note("spine", name, fmt.Sprintf("commit spine, lanes=%d batch<=%d", len(r.lanes), sp.maxBatch), func() string {
-			return fmt.Sprintf("%s, queue %d/%d", occ(), len(sp.q), cap(sp.q))
-		})
-	}
 	b := &laneBarrier{n: len(r.lanes), out: out, resume: make(chan struct{}), onPunct: onPunct}
-	var wg sync.WaitGroup
-	wg.Add(len(r.lanes))
+	var open atomic.Int32
+	open.Store(int32(len(r.lanes)))
 	for i, lane := range r.lanes {
 		lane.consume(fmt.Sprintf("%s/lane%d", name, i), func(batch []Element) {
 			start := 0
@@ -667,50 +582,130 @@ func (r *ParallelRegion) close(name string, onPunct func(Element), sp *commitSpi
 				out.ch <- nb
 			}
 			putBatch(batch)
-		}, wg.Done)
+		}, func() {
+			// Every lane sees every punctuation, so once the last lane is
+			// done no boundary is pending anywhere.
+			if open.Add(-1) == 0 {
+				close(out.ch)
+				if sp != nil {
+					close(sp.q)
+				}
+			}
+		})
 	}
-	r.t.spawn(name+"/closer", func() {
-		wg.Wait()
-		close(out.ch)
-		if sp != nil {
-			close(sp.q)
-		}
-	})
 	if sp != nil {
 		r.t.spawn(name+"/spine", sp.run)
 	}
 	return out
 }
 
-// commitSpine is the deferred commit worker of a batched region barrier:
-// the coordinator enqueues each decided transaction (with its punctuation
+// regionCommit reaches a closed region's per-transaction verdicts over
+// its ToTable registrations — the one verdict path of both closers.
+// Merge runs decide on the barrier coordinator, under the barrier mutex;
+// MergeTuned runs it on the spine worker for the entries that split a
+// batch (rollbacks, poisoned commits) and books every batched verdict
+// through account. Either way one goroutine at a time owns the state, so
+// the groupFailed latch is single-writer.
+type regionCommit struct {
+	t    *Topology
+	regs []laneCommitReg
+	// groupFailed latches the first txn.ErrGroupFailed verdict: a poisoned
+	// commit group is surfaced as exactly ONE topology failure, and every
+	// later fail-fast verdict is accounted as an abort — the region drains
+	// the remaining boundaries deterministically instead of wedging or
+	// flooding the error list (see account).
+	groupFailed bool
+}
+
+// decide runs one transaction's final punctuation: per table in
+// registration order, CommitState on COMMIT (a global Abort instead when
+// a lane already poisoned the transaction, whose abort was counted at
+// poisoning time), Abort on ROLLBACK. Other kinds are no-ops.
+func (rc *regionCommit) decide(kind Kind, tx *txn.Txn) {
+	switch kind {
+	case KindCommit:
+		for _, reg := range rc.regs {
+			if reg.ctl.isPoisoned(tx) {
+				if err := reg.p.Abort(tx); err != nil && err != txn.ErrFinished {
+					rc.t.fail(reg.name, err)
+				}
+				reg.ctl.clear(tx)
+				continue
+			}
+			rc.account(reg, reg.p.CommitState(tx, reg.tbl))
+		}
+	case KindRollback:
+		for _, reg := range rc.regs {
+			// Lane segments were flushed before the barrier (Writes counts
+			// them); Abort discards them.
+			if err := reg.p.Abort(tx); err != nil && err != txn.ErrFinished {
+				rc.t.fail(reg.name, err)
+			}
+			reg.ctl.clear(tx)
+			reg.stats.Aborts.Add(1)
+		}
+	}
+}
+
+// account books one table's commit verdict into its stats: nil is a
+// commit, an abort-family error an abort, anything else a topology
+// failure. A broken commit group (fail-stop, txn.ErrGroupFailed) is
+// deterministic pipeline poisoning: the first verdict fails the topology
+// with the sticky cause, every subsequent one counts as an abort so the
+// region drains the remaining in-flight boundaries cleanly — no
+// post-failure commit is ever acknowledged, and the barrier never wedges
+// behind a spine that stopped consuming.
+func (rc *regionCommit) account(reg laneCommitReg, err error) {
+	switch {
+	case err == nil:
+		reg.stats.Commits.Add(1)
+	case errors.Is(err, txn.ErrGroupFailed):
+		reg.stats.Aborts.Add(1)
+		if !rc.groupFailed {
+			rc.groupFailed = true
+			rc.t.fail(reg.name, err)
+		}
+	case txn.IsAbort(err) || err == txn.ErrFinished:
+		reg.stats.Aborts.Add(1)
+	default:
+		rc.t.fail(reg.name, err)
+	}
+}
+
+// anyPoisoned reports whether any lane write path gave up on tx. The
+// poisoning state is final once the transaction's boundary passed the
+// barrier (every lane flushed before acknowledging), so reading it after
+// the barrier is race-free.
+func (rc *regionCommit) anyPoisoned(tx *txn.Txn) bool {
+	for _, reg := range rc.regs {
+		if reg.ctl.isPoisoned(tx) {
+			return true
+		}
+	}
+	return false
+}
+
+// commitSpine is the deferred commit worker of a MergeTuned barrier: the
+// coordinator enqueues each decided transaction (with its punctuation
 // kind) in boundary order and releases the lanes; the worker drains the
 // queue, groups maximal runs of consecutive clean COMMIT entries up to
-// maxBatch, and submits each run to the group-commit pipeline as ONE
-// cross-transaction batch through txn.ChainCommitter. Rollbacks and
-// poisoned transactions are handled singly, splitting the run exactly
-// where they sit — an abort never delays or poisons its neighbors beyond
-// that split. Protocols without ChainCommitter (e.g. test wrappers) fall
-// back to per-transaction CommitState in the same order.
+// the tuner's window, and submits each run to the group-commit pipeline
+// as ONE cross-transaction batch through txn.ChainCommitter. Rollbacks
+// and poisoned transactions go through regionCommit.decide singly,
+// splitting the run exactly where they sit — an abort never delays or
+// poisons its neighbors beyond that split. Protocols without
+// ChainCommitter (e.g. test wrappers) fall back to per-transaction
+// CommitState in the same order.
 type commitSpine struct {
-	t        *Topology
-	name     string
-	regs     []laneCommitReg
-	tbls     []*txn.Table
-	cc       txn.ChainCommitter
-	maxBatch int
-	// tun, when set (MergeTuned), overrides the static batching geometry:
-	// the collection target is capped at the tuner's current window, the
-	// linger follows the tuner, and every clean commit run is timed and
-	// fed back as a controller observation.
+	regionCommit
+	tbls []*txn.Table
+	cc   txn.ChainCommitter
+	// tun sets the batching geometry: the collection target is capped at
+	// the tuner's current window, the linger follows the tuner, and every
+	// clean commit run is timed and fed back as a controller observation
+	// (a pinned tuner ignores it).
 	tun *AutoTuner
 	q   chan spineEntry
-	// groupFailed latches the first txn.ErrGroupFailed verdict (worker-
-	// goroutine owned): a poisoned commit group is surfaced as exactly ONE
-	// topology failure, and every later fail-fast verdict is accounted as
-	// an abort — the spine drains the remaining boundaries deterministically
-	// instead of wedging or flooding the error list (see account).
-	groupFailed bool
 }
 
 // spineEntry is one decided transaction awaiting its commit work.
@@ -719,19 +714,15 @@ type spineEntry struct {
 	tx   *txn.Txn
 }
 
-func newCommitSpine(t *Topology, name string, regs []laneCommitReg, maxBatch int) *commitSpine {
-	sp := &commitSpine{t: t, name: name, regs: regs, maxBatch: maxBatch}
+func newCommitSpine(t *Topology, regs []laneCommitReg, tun *AutoTuner) *commitSpine {
+	sp := &commitSpine{regionCommit: regionCommit{t: t, regs: regs}, tun: tun}
 	for _, reg := range regs {
 		sp.tbls = append(sp.tbls, reg.tbl)
 	}
 	if len(regs) > 0 {
 		sp.cc, _ = regs[0].p.(txn.ChainCommitter)
 	}
-	qcap := 2 * maxBatch
-	if qcap < chanBuf {
-		qcap = chanBuf
-	}
-	sp.q = make(chan spineEntry, qcap)
+	sp.q = make(chan spineEntry, max(2*tun.cfg.MaxWindow, chanBuf))
 	return sp
 }
 
@@ -745,9 +736,7 @@ func (sp *commitSpine) enqueue(e Element) {
 	if e.Tx == nil {
 		return
 	}
-	if sp.tun != nil {
-		sp.tun.noteEnqueue(len(sp.q))
-	}
+	sp.tun.noteEnqueue(len(sp.q))
 	sp.q <- spineEntry{kind: e.Kind, tx: e.Tx}
 }
 
@@ -759,29 +748,22 @@ const spineLinger = 200 * time.Microsecond
 // run drains the queue until it closes. Batch formation mirrors the
 // group-commit leader's adaptive policy: the previous batch's size
 // estimates how many boundaries the pipeline produces per commit
-// latency, and the worker collects up to that many (never beyond
-// maxBatch), parking on the queue with a linger-bounded timer. A
+// latency, and the worker collects up to that many (never beyond the
+// tuner's window), parking on the queue with a linger-bounded timer. A
 // steady one-at-a-time stream (previous batch of one) never lingers and
 // never pays added latency; only once commits demonstrably lag boundary
 // production does the spine start holding out for larger batches.
 func (sp *commitSpine) run() {
-	pend := make([]spineEntry, 0, sp.maxBatch)
+	pend := make([]spineEntry, 0, sp.tun.cfg.MaxWindow)
 	target := 1
 	for {
 		e, ok := <-sp.q
 		if !ok {
 			return
 		}
-		// ceil is the batch ceiling of this iteration: the static maxBatch,
-		// tightened to the tuner's current window under MergeTuned so the
-		// spine's geometry tracks the controller.
-		ceil, linger := sp.maxBatch, spineLinger
-		if sp.tun != nil {
-			if w := sp.tun.Window(); w < ceil {
-				ceil = w
-			}
-			linger = sp.tun.linger()
-		}
+		// ceil is the batch ceiling of this iteration: the tuner's current
+		// window, so the spine's geometry tracks the controller.
+		ceil, linger := sp.tun.Window(), sp.tun.linger()
 		if target > ceil {
 			target = ceil
 		}
@@ -849,34 +831,16 @@ func (sp *commitSpine) process(entries []spineEntry) {
 			i = j
 			continue
 		}
-		sp.single(e)
+		sp.decide(e.kind, e.tx)
 		i++
 	}
 }
 
-// anyPoisoned reports whether any lane write path gave up on tx. The
-// poisoning state is final once the transaction's boundary passed the
-// barrier (every lane flushed before acknowledging), so reading it at
-// spine time is race-free.
-func (sp *commitSpine) anyPoisoned(tx *txn.Txn) bool {
-	for _, reg := range sp.regs {
-		if reg.ctl.isPoisoned(tx) {
-			return true
-		}
-	}
-	return false
-}
-
 // commitRun commits a run of consecutive clean transactions — as one
-// chain batch when the protocol supports it, per-transaction otherwise.
-// Stats mirror the synchronous barrier actions exactly: per table, nil is
-// a commit, an abort-family error an abort, anything else a topology
-// failure.
+// chain batch when the protocol supports it, per-transaction otherwise —
+// booking every verdict through account, exactly as decide would.
 func (sp *commitSpine) commitRun(run []spineEntry) {
-	var start time.Time
-	if sp.tun != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if sp.cc != nil && len(run) > 0 {
 		txs := make([]*txn.Txn, len(run))
 		for i := range run {
@@ -895,60 +859,7 @@ func (sp *commitSpine) commitRun(run []spineEntry) {
 			}
 		}
 	}
-	if sp.tun != nil {
-		// Only clean runs are observations: rollbacks and poisoned commits
-		// (handled by single) measure fault handling, not batching.
-		sp.tun.observeBatch(len(run), time.Since(start))
-	}
-}
-
-// account books one table's commit verdict into its stats. A broken
-// commit group (fail-stop, txn.ErrGroupFailed) is deterministic pipeline
-// poisoning: the first verdict fails the topology with the sticky cause,
-// every subsequent one counts as an abort so the worker drains the
-// remaining in-flight boundaries cleanly — no post-failure commit is
-// ever acknowledged, and the barrier never wedges behind a spine that
-// stopped consuming.
-func (sp *commitSpine) account(reg laneCommitReg, err error) {
-	switch {
-	case err == nil:
-		reg.stats.Commits.Add(1)
-	case errors.Is(err, txn.ErrGroupFailed):
-		reg.stats.Aborts.Add(1)
-		if !sp.groupFailed {
-			sp.groupFailed = true
-			sp.t.fail(sp.name, err)
-		}
-	case txn.IsAbort(err) || err == txn.ErrFinished:
-		reg.stats.Aborts.Add(1)
-	default:
-		sp.t.fail(sp.name, err)
-	}
-}
-
-// single handles a rollback or a poisoned commit — the batch splitters —
-// with exactly the synchronous actions' semantics.
-func (sp *commitSpine) single(e spineEntry) {
-	switch e.kind {
-	case KindCommit:
-		for _, reg := range sp.regs {
-			if reg.ctl.isPoisoned(e.tx) {
-				// The abort was already counted at poisoning time.
-				if err := reg.p.Abort(e.tx); err != nil && err != txn.ErrFinished {
-					sp.t.fail(sp.name, err)
-				}
-				reg.ctl.clear(e.tx)
-				continue
-			}
-			sp.account(reg, reg.p.CommitState(e.tx, reg.tbl))
-		}
-	case KindRollback:
-		for _, reg := range sp.regs {
-			if err := reg.p.Abort(e.tx); err != nil && err != txn.ErrFinished {
-				sp.t.fail(sp.name, err)
-			}
-			reg.ctl.clear(e.tx)
-			reg.stats.Aborts.Add(1)
-		}
-	}
+	// Only clean runs are observations: rollbacks and poisoned commits
+	// (handled by decide) measure fault handling, not batching.
+	sp.tun.observeBatch(len(run), time.Since(start))
 }

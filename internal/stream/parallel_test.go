@@ -2,7 +2,9 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 	"sistream/internal/txn"
@@ -279,5 +281,101 @@ func TestParallelRollbackDiscardsAllLanes(t *testing.T) {
 		if r.Key[0] != 'a' {
 			t.Fatalf("rolled-back key %q visible", r.Key)
 		}
+	}
+}
+
+// TestNoGoroutineLeakAfterRun: once Run returns, every goroutine a
+// TO_TABLE topology started is gone — lane collectors, the
+// transactions operator, the spine worker — so the count settles back to
+// what it was before the topology was built. It covers a chain of two
+// Stream.ToTable operators, a Merge-closed region and a MergeTuned-closed
+// region, and checks the plan each records: the transactions operator
+// and the spine render the tuner the same way ("window=N (fixed)" or
+// "window=auto").
+func TestNoGoroutineLeakAfterRun(t *testing.T) {
+	cases := []struct {
+		name string
+		// build wires the TO_TABLE shape onto the punctuated source.
+		build func(s *Stream, e *parallelEnv)
+		// plan lists the recorded steps, as "kind name detail".
+		plan []string
+	}{
+		{"stream-totable-chain", func(s *Stream, e *parallelEnv) {
+			s, _ = s.Transactions(e.p, e.t1, e.t2).ToTable(e.p, e.t1)
+			s, _ = s.ToTable(e.p, e.t2)
+			s.Discard()
+		}, []string{
+			"operator transactions protocol=mvcc window=1 (fixed) (chained)",
+			"region parallelize lanes=1 (identity, no router)",
+			"table to_table/lane1 protocol=mvcc lanes=1 (per-lane segments)",
+			"spine to_table/lane1/merge merge barrier, lanes=1 (synchronous commit at barrier)",
+			"region parallelize lanes=1 (identity, no router)",
+			"table to_table/lane2 protocol=mvcc lanes=1 (per-lane segments)",
+			"spine to_table/lane2/merge merge barrier, lanes=1 (synchronous commit at barrier)",
+		}},
+		{"merge", func(s *Stream, e *parallelEnv) {
+			region := s.Transactions(e.p).Parallelize(3, nil)
+			region.ToTable(e.p, e.t1)
+			region.Merge("merge").Discard()
+		}, []string{
+			"operator transactions protocol=mvcc window=1 (fixed) (chained)",
+			"region parallelize lanes=3 key=default (hash-routed, punctuations broadcast)",
+			"table to_table/lane1 protocol=mvcc lanes=3 (per-lane segments)",
+			"spine merge merge barrier, lanes=3 (synchronous commit at barrier)",
+		}},
+		{"merge-tuned-pinned", func(s *Stream, e *parallelEnv) {
+			region, merge := pinnedRegion(s, e.p, 4, 3)
+			region.ToTable(e.p, e.t1)
+			merge().Discard()
+		}, []string{
+			"operator transactions protocol=mvcc window=4 (fixed) (chained)",
+			"region parallelize lanes=3 key=default (hash-routed, punctuations broadcast)",
+			"table to_table/lane1 protocol=mvcc lanes=3 (per-lane segments)",
+			"spine merge commit spine, lanes=3 window=4 (fixed)",
+		}},
+		{"merge-tuned-auto", func(s *Stream, e *parallelEnv) {
+			tun := NewAutoTuner(AutoTune{})
+			region := s.TransactionsTuned(e.p, tun).Parallelize(3, nil)
+			region.ToTable(e.p, e.t1)
+			region.MergeTuned("merge", tun).Discard()
+		}, []string{
+			"operator transactions protocol=mvcc window=auto (chained)",
+			"region parallelize lanes=3 key=default (hash-routed, punctuations broadcast)",
+			"table to_table/lane1 protocol=mvcc lanes=3 (per-lane segments)",
+			"spine merge commit spine, lanes=3 window=auto",
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := newParallelEnv(t)
+			before := runtime.NumGoroutine()
+			top := New(c.name)
+			src := top.Source("gen", func(emit func(Element)) error {
+				for i := 0; i < 2000; i++ {
+					emit(DataElement(Tuple{Key: fmt.Sprintf("k%d", i%97), Value: []byte("v")}))
+				}
+				return nil
+			})
+			c.build(src.Punctuate(10), e)
+			if err := top.Run(); err != nil {
+				t.Fatal(err)
+			}
+			var plan []string
+			for _, st := range top.Plan() {
+				if st.Kind != "source" && st.Name != "punctuate" {
+					plan = append(plan, st.Kind+" "+st.Name+" "+st.Detail)
+				}
+			}
+			if fmt.Sprint(plan) != fmt.Sprint(c.plan) {
+				t.Fatalf("plan:\n got %q\nwant %q", plan, c.plan)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Run, %d before the topology was built", runtime.NumGoroutine(), before)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -10,15 +10,26 @@ import (
 )
 
 // This file pins the fused commit spine to the sequential semantics it
-// accelerates: windowed transactions (TransactionsWindow) feeding a
-// batched barrier (MergeBatched) must produce exactly the reference
-// model's committed state, stats, punctuation sequence, per-transaction
-// element multisets and abort placement — for every window/batch size,
-// lane count and protocol, including rollbacks landing mid-batch.
+// accelerates: windowed transactions (TransactionsTuned) feeding a
+// batched barrier (MergeTuned), both under one pinned tuner, must produce
+// exactly the reference model's committed state, stats, punctuation
+// sequence, per-transaction element multisets and abort placement — for
+// every window size, lane count and protocol, including rollbacks
+// landing mid-batch.
+
+// pinnedRegion opens the static commit spine: s's transactions under a
+// tuner pinned at window, split into keyed lanes. Close the region
+// with the returned closer, MergeTuned on the same tuner, whose batch
+// ceiling is therefore the window too.
+func pinnedRegion(s *Stream, p txn.Protocol, window, lanes int) (*ParallelRegion, func() *Stream) {
+	tun := NewFixedTuner(window)
+	r := s.TransactionsTuned(p, tun).Parallelize(lanes, nil)
+	return r, func() *Stream { return r.MergeTuned("merge", tun) }
+}
 
 // runSpine executes the script through the fused spine: windowed
 // transactions, keyed lanes, per-lane TO_TABLE, batching merge barrier.
-func runSpine(t *testing.T, script []scriptItem, punctuateN, lanes, window, batch int, proto func(*txn.Context) txn.Protocol) (sig []string, rows map[string]string, stats *ToTableStats) {
+func runSpine(t *testing.T, script []scriptItem, punctuateN, lanes, window int, proto func(*txn.Context) txn.Protocol) (sig []string, rows map[string]string, stats *ToTableStats) {
 	t.Helper()
 	ctx := txn.NewContext()
 	store := kv.NewMem()
@@ -43,9 +54,9 @@ func runSpine(t *testing.T, script []scriptItem, punctuateN, lanes, window, batc
 		}
 		return nil
 	})
-	region := src.Punctuate(punctuateN).TransactionsWindow(p, window).Parallelize(lanes, nil)
+	region, merge := pinnedRegion(src.Punctuate(punctuateN), p, window, lanes)
 	stats = region.ToTable(p, tbl)
-	collected := region.MergeBatched("merge", batch).Collect()
+	collected := merge().Collect()
 	if err := top.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +110,7 @@ func checkSpineAgainstRef(t *testing.T, label string, want *refModel, sig []stri
 }
 
 // TestPropertySpineEquivalence: for random scripts (rollbacks included —
-// an abort landing mid-batch splits the chain), every window/batch size
+// an abort landing mid-batch splits the chain), every window size
 // must reproduce the sequential reference exactly. genScript mixes
 // explicit BOT..COMMIT/ROLLBACK transactions with auto-punctuated runs,
 // so batched chains regularly carry a rollback in the middle.
@@ -116,7 +127,7 @@ func TestPropertySpineEquivalence(t *testing.T) {
 			punctuateN := 1 + rng.Intn(7)
 			want := runRef(script, punctuateN, 0)
 			for _, wb := range []int{1, 2, 8} {
-				sig, rows, stats := runSpine(t, script, punctuateN, 4, wb, wb,
+				sig, rows, stats := runSpine(t, script, punctuateN, 4, wb,
 					func(c *txn.Context) txn.Protocol { return txn.NewSI(c) })
 				checkSpineAgainstRef(t, fmt.Sprintf("window=batch=%d", wb), want, sig, rows, stats)
 			}
@@ -141,7 +152,7 @@ func TestSpineEquivalenceAllProtocols(t *testing.T) {
 		want := runRef(script, punctuateN, 0)
 		for name, proto := range protos {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, name), func(t *testing.T) {
-				sig, rows, stats := runSpine(t, script, punctuateN, 4, 8, 8, proto)
+				sig, rows, stats := runSpine(t, script, punctuateN, 4, 8, proto)
 				checkSpineAgainstRef(t, name, want, sig, rows, stats)
 			})
 		}
@@ -164,7 +175,7 @@ func TestSpineFallbackWithoutChainCommitter(t *testing.T) {
 			// One lane: sequential element order makes injected fault
 			// positions deterministic, as in TestPropertyLane1FaultEquivalence
 			// — here with the whole window/batch machinery in the path.
-			sig, rows, stats := runSpine(t, script, punctuateN, 1, 8, 8, func(c *txn.Context) txn.Protocol {
+			sig, rows, stats := runSpine(t, script, punctuateN, 1, 8, func(c *txn.Context) txn.Protocol {
 				return &faultProtocol{Protocol: txn.NewSI(c), failAt: failAt}
 			})
 			if fmt.Sprint(sig) != fmt.Sprint(want.sequence) {
@@ -228,9 +239,9 @@ func TestStressSpineAbortMidBatch(t *testing.T) {
 		}
 		return nil
 	})
-	region := src.TransactionsWindow(p, 8).Parallelize(8, nil)
+	region, merge := pinnedRegion(src, p, 8, 8)
 	stats := region.ToTable(p, tbl)
-	collected := region.MergeBatched("merge", 8).Collect()
+	collected := merge().Collect()
 	if err := top.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +333,9 @@ func TestSpineRaisesCommitFanIn(t *testing.T) {
 		}
 		return nil
 	})
-	region := src.Punctuate(1).TransactionsWindow(p, 8).Parallelize(2, nil)
+	region, merge := pinnedRegion(src.Punctuate(1), p, 8, 2)
 	region.ToTable(p, tbl)
-	region.MergeBatched("merge", 8).Discard()
+	merge().Discard()
 	if err := top.Run(); err != nil {
 		t.Fatal(err)
 	}

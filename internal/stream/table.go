@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -25,124 +24,18 @@ type ToTableStats struct {
 // COMMIT, Abort on ROLLBACK. Elements pass through so further ToTable
 // operators can maintain additional states within the same transaction.
 //
-// The operator is vectorized: consecutive data tuples of one transaction
-// form a run that is applied with a single Protocol.WriteBatch call —
-// one state-entry resolution, one snapshot pin and one transaction-latch
-// acquisition per run instead of per tuple. Runs are cut at punctuations
-// and at batch boundaries (so writes are always applied before their
-// elements are forwarded downstream, exactly as in the per-element
-// engine).
-//
-// A conflict abort from the protocol (e.g. First-Committer-Wins) poisons
-// the rest of the batch: remaining writes up to the next BOT are skipped
-// and counted into stats.Aborts. The returned stats object is live.
+// It is the one-lane ParallelRegion closed with Merge, so it shares the
+// region's write path and verdict code: the transaction's tuples collect
+// in a write segment that is applied in one batched write at the
+// transaction's punctuation, and the commit runs at the barrier before
+// the COMMIT is forwarded downstream. A conflict abort from the protocol
+// (e.g. First-Committer-Wins) poisons the transaction, which the COMMIT
+// then aborts globally (one abort in stats.Aborts). The returned stats
+// object is live.
 func (s *Stream) ToTable(p txn.Protocol, tbl *txn.Table) (*Stream, *ToTableStats) {
-	out := s.t.newStream()
-	stats := &ToTableStats{}
-	name := "to_table/" + string(tbl.ID())
-	s.t.note("table", name, "protocol="+p.Name()+" lanes=1 (sequential, vectorized runs)", func() string {
-		return fmt.Sprintf("writes=%d commits=%d aborts=%d", stats.Writes.Load(), stats.Commits.Load(), stats.Aborts.Load())
-	})
-
-	var (
-		poisoned bool
-		runTx    *txn.Txn
-		ops      = make([]txn.WriteOp, 0, batchCap)
-		// groupFailed latches the first fail-stop verdict: a poisoned
-		// commit group (txn.ErrGroupFailed) fails the topology exactly
-		// once; every later fail-fast commit is counted as an abort so the
-		// operator keeps draining deterministically (mirrors the batched
-		// spine's accounting).
-		groupFailed bool
-	)
-	// flushRun applies the pending run through the batched write API.
-	// Counting matches the per-element engine: every applied write
-	// increments Writes; the first failing write poisons the transaction
-	// and counts one abort.
-	flushRun := func() {
-		if len(ops) == 0 {
-			return
-		}
-		n, err := p.WriteBatch(runTx, tbl, ops)
-		ops = ops[:0]
-		stats.Writes.Add(int64(n))
-		if err != nil {
-			poisoned = true
-			if txn.IsAbort(err) || err == txn.ErrFinished {
-				stats.Aborts.Add(1)
-			} else {
-				s.t.fail(name, err)
-			}
-		}
-	}
-
-	s.consume(name, func(b []Element) {
-		for _, e := range b {
-			switch e.Kind {
-			case KindBOT:
-				// A well-formed stream never has a pending run here; flush
-				// defensively so a malformed one can't cross transactions.
-				flushRun()
-				poisoned = false
-				runTx = nil
-			case KindData:
-				if e.Tx == nil || poisoned || e.Tuple.Key == "" {
-					continue
-				}
-				runTx = e.Tx
-				ops = append(ops, txn.WriteOp{
-					Key:    e.Tuple.Key,
-					Value:  e.Tuple.Value,
-					Delete: e.Tuple.Delete,
-				})
-			case KindCommit:
-				if e.Tx == nil {
-					continue
-				}
-				flushRun()
-				if poisoned {
-					// Someone (possibly this operator) already gave up on
-					// the transaction; make the abort global.
-					if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-						s.t.fail(name, err)
-					}
-					continue
-				}
-				if err := p.CommitState(e.Tx, tbl); err != nil {
-					switch {
-					case errors.Is(err, txn.ErrGroupFailed):
-						stats.Aborts.Add(1)
-						if !groupFailed {
-							groupFailed = true
-							s.t.fail(name, err)
-						}
-					case txn.IsAbort(err) || err == txn.ErrFinished:
-						stats.Aborts.Add(1)
-					default:
-						s.t.fail(name, err)
-					}
-					continue
-				}
-				stats.Commits.Add(1)
-			case KindRollback:
-				if e.Tx == nil {
-					continue
-				}
-				// Apply pending writes first so Writes counts them, as
-				// the per-element engine did; Abort discards them anyway.
-				flushRun()
-				if err := p.Abort(e.Tx); err != nil && err != txn.ErrFinished {
-					s.t.fail(name, err)
-				}
-				stats.Aborts.Add(1)
-			}
-		}
-		// Writes must be applied before downstream operators (a second
-		// ToTable, a TableJoin under the same transaction) see the batch.
-		flushRun()
-		out.ch <- b
-	}, func() { close(out.ch) })
-	return out, stats
+	r := s.Parallelize(1, nil)
+	stats := r.ToTable(p, tbl)
+	return r.Merge("to_table/" + string(tbl.ID()) + "/merge"), stats
 }
 
 // TableChange is one committed row change delivered by ToStream.

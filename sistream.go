@@ -40,7 +40,7 @@ type (
 	// Chain is the serial-commit token of one windowed stream query:
 	// transactions attached to a chain may overlap inside the window
 	// while committing strictly in order, with conflicts between chain
-	// members exempted as serial history (see TransactionsWindow).
+	// members exempted as serial history (see Stream.TransactionsTuned).
 	Chain = txn.Chain
 	// ChainCommitter is implemented by protocols whose commit path can
 	// take a whole chain window at once — one group-commit batch for
@@ -110,9 +110,10 @@ type (
 	// window bound, per-batch latency ceiling, linger cap and decision
 	// cadence. The zero value of every field selects its default.
 	AutoTune = stream.AutoTune
-	// AutoTuner is the controller of one self-tuning pipeline: pass it to
-	// both Stream.TransactionsTuned and ParallelRegion.MergeTuned; it
-	// sizes the commit window and linger from observed commit latency.
+	// AutoTuner sets the commit window and linger of one pipeline: pass
+	// it to both Stream.TransactionsTuned and ParallelRegion.MergeTuned.
+	// NewAutoTuner sizes them from observed commit latency; NewFixedTuner
+	// pins a static window.
 	AutoTuner = stream.AutoTuner
 	// AutoTunerStats is a point-in-time controller snapshot
 	// (AutoTuner.Stats): current window/linger and resize counts.
@@ -173,7 +174,7 @@ var (
 	// IsAbort reports whether an error is a retryable transaction abort.
 	IsAbort = txn.IsAbort
 	// NewChain creates an empty commit chain for a windowed stream query
-	// (Stream.TransactionsWindow attaches one automatically).
+	// (Stream.TransactionsTuned attaches one automatically).
 	NewChain = txn.NewChain
 	// DefaultKeyHash is the routing hash Parallelize and the partitioned
 	// change feed default to; pass it (or share a custom function)
@@ -211,6 +212,10 @@ var (
 	// NewAutoTuner creates the self-tuning commit-spine controller,
 	// starting at window 1 (no batching until measurements justify it).
 	NewAutoTuner = stream.NewAutoTuner
+	// NewFixedTuner creates a tuner pinned at a static commit window: the
+	// fused commit spine without the controller (NewFixedTuner(1) is the
+	// serialized Transactions).
+	NewFixedTuner = stream.NewFixedTuner
 
 	// NewMemStore creates a volatile in-memory base table.
 	NewMemStore = func() Store { return kv.NewMem() }
