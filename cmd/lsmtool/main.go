@@ -1,14 +1,14 @@
-// Command lsmtool inspects a persistent LSM store directory (the base
-// table of transactional states).
+// Command lsmtool inspects a persistent store directory (the base table
+// of transactional states: a write-ahead log plus a folded checkpoint).
 //
 // Usage:
 //
-//	lsmtool -dir data stats          # level layout and counters
+//	lsmtool -dir data stats          # folds, checkpoint and live-log sizes
 //	lsmtool -dir data scan           # dump all live key-value pairs
 //	lsmtool -dir data scan -prefix s/state1/   # one state's rows
 //	lsmtool -dir data get -key s/state1/0001
 //	lsmtool -dir data verify         # offline integrity check (no DB open)
-//	lsmtool -dir data compact        # force flush + full compaction
+//	lsmtool -dir data compact        # fold the whole log into the checkpoint
 //	lsmtool -dir data wal-dump       # decode the write-ahead logs (read-only)
 //	lsmtool -dir data wal-dump -skip-corrupt   # salvage: resync past corruption
 //	lsmtool -wal data/000007.wal wal-dump      # one specific log file
@@ -19,11 +19,12 @@
 // "lsm", rooted at -dir). stats and compact address the lsm layer of the
 // chain; scan and get go through the whole chain.
 //
-// wal-dump and verify never open the database (recovery would rotate the
-// logs and delete orphans); they read the files directly, so they work on
-// a directory whose Open fails — verify walks CURRENT, the manifest,
-// every SSTable's block checksums and every WAL record, reporting torn
-// tails and orphaned tables; wal-dump -skip-corrupt salvages corrupt logs.
+// wal-dump and verify never open the database (recovery would truncate a
+// torn tail and delete orphans); they read the files directly, so they
+// work on a directory whose Open fails — verify checks CURRENT, every
+// checkpoint block checksum, the key order and every live log record,
+// reporting torn tails and orphaned files; wal-dump -skip-corrupt
+// salvages corrupt logs.
 package main
 
 import (
@@ -36,7 +37,7 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "", "LSM data directory (required unless -wal)")
+	dir := flag.String("dir", "", "store data directory (required unless -wal)")
 	spec := flag.String("store", "lsm", "backend spec for the online commands (must chain an lsm layer)")
 	key := flag.String("key", "", "key for get")
 	prefix := flag.String("prefix", "", "key prefix filter for scan")
@@ -58,29 +59,32 @@ func main() {
 		os.Exit(2)
 	}
 	if cmd == "wal-dump" {
-		// Deliberately DB-less: opening the database replays and rotates
-		// the logs, and fails outright on the corruption this command is
-		// for.
+		// Deliberately DB-less: opening the database replays and
+		// truncates the logs, and fails outright on the corruption this
+		// command is for.
 		walDump(*dir, *walFile, *skipCorrupt)
 		return
 	}
 	if cmd == "verify" {
 		// Also DB-less: verification must not mutate the evidence (Open
-		// rotates logs, flushes recovered data and deletes orphans).
+		// truncates torn tails and deletes orphans).
 		rep, err := lsm.VerifyDir(*dir)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("manifest:  MANIFEST-%06d\n", rep.ManifestNum)
-		fmt.Printf("tables:    %d (%d blocks, %d entries, all checksums ok)\n",
-			rep.Tables, rep.Blocks, rep.Entries)
-		fmt.Printf("wal:       %d logs, %d records", rep.WALs, rep.WALRecords)
+		if rep.Checkpoint == 0 {
+			fmt.Println("checkpoint: none (nothing folded yet)")
+		} else {
+			fmt.Printf("checkpoint: %06d.ckpt (%d blocks, %d entries, all checksums ok)\n",
+				rep.Checkpoint, rep.Blocks, rep.Entries)
+		}
+		fmt.Printf("wal:        %d live segments, %d records", rep.WALs, rep.WALRecords)
 		if rep.WALTornTails > 0 {
 			fmt.Printf(", %d torn tails (expected crash shape)", rep.WALTornTails)
 		}
 		fmt.Println()
-		for _, num := range rep.OrphanTables {
-			fmt.Printf("orphan:    %06d.sst (unreferenced; recovery will remove it)\n", num)
+		for _, name := range rep.Orphans {
+			fmt.Printf("orphan:     %s (left by an interrupted fold; recovery will remove it)\n", name)
 		}
 		fmt.Println("ok")
 		return
@@ -101,23 +105,11 @@ func main() {
 			fatal(fmt.Errorf("stats needs an lsm layer in -store %q", *spec))
 		}
 		st := db.Stats()
-		fmt.Printf("flushes:      %d\n", st.Flushes)
-		fmt.Printf("compactions:  %d\n", st.Compactions)
-		fmt.Printf("memtable:     %d keys, ~%d bytes\n", st.MemKeys, st.MemBytes)
-		fmt.Printf("block cache:  %d blocks, %d hits, %d misses\n",
-			st.BlockCacheBlocks, st.BlockCacheHits, st.BlockCacheMisses)
+		fmt.Printf("folds:        %d\n", st.Flushes)
+		fmt.Printf("checkpoint:   %d bytes\n", st.CheckpointBytes)
+		fmt.Printf("live log:     %d bytes in %d segments\n", st.LiveLogBytes, st.LiveSegments)
 		fmt.Printf("wal recovery: %d records replayed, %d torn tails discarded\n",
 			st.WALRecordsRecovered, st.WALTornTails)
-		var files, size int
-		for l := range st.LevelFiles {
-			if st.LevelFiles[l] == 0 {
-				continue
-			}
-			fmt.Printf("level %d:      %d files, %d bytes\n", l, st.LevelFiles[l], st.LevelBytes[l])
-			files += st.LevelFiles[l]
-			size += int(st.LevelBytes[l])
-		}
-		fmt.Printf("total:        %d files, %d bytes\n", files, size)
 	case "scan":
 		start, end := scanBounds(*prefix)
 		n := 0
@@ -147,10 +139,10 @@ func main() {
 		if db == nil {
 			fatal(fmt.Errorf("compact needs an lsm layer in -store %q", *spec))
 		}
-		if err := db.Compact(); err != nil {
+		if err := db.Flush(); err != nil {
 			fatal(err)
 		}
-		fmt.Println("compacted")
+		fmt.Println("folded")
 	default:
 		fatal(fmt.Errorf("unknown command %q", cmd))
 	}

@@ -4,7 +4,8 @@
 // shared queryable states (tables) with MVCC snapshot isolation, a
 // consistency protocol for multi-state transactions, and ad-hoc snapshot
 // queries — plus the S2PL and BOCC baselines the paper evaluates against
-// and a persistent LSM key-value store as the base table.
+// and a persistent log-structured key-value store (a write-ahead log plus
+// a background-folded checkpoint) as the base table.
 //
 // # Concurrency architecture
 //

@@ -19,16 +19,11 @@ import (
 	"testing"
 )
 
-// panicAllowlist names the panic sites that are deliberately kept: a
-// refcount underflow in the LSM version tracking is a programming error
-// in the caller (an unref without a ref) whose continuation would
-// double-free file handles under readers — memory-unsafety territory,
-// where crashing IS the containment. Entries are "file base name" →
-// maximum allowed panic calls in that file; the cap keeps the allowlist
-// from silently absorbing new sites.
-var panicAllowlist = map[string]int{
-	"version.go": 2, // fileMeta/version refcount underflow guards
-}
+// panicAllowlist names the panic sites that are deliberately kept, as
+// "file base name" → maximum allowed panic calls in that file; the cap
+// keeps the allowlist from silently absorbing new sites. It is empty: no
+// site in these layers is a crash-worthy invariant today.
+var panicAllowlist = map[string]int{}
 
 // TestNoPanicsInFailStopLayers walks every non-test source file of
 // internal/txn and internal/lsm and fails on any panic call not covered

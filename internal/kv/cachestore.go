@@ -10,7 +10,7 @@ import (
 const DefaultCacheEntries = 256
 
 // Cache is a chainable key-level read-through/write-behind tier over an
-// inner store — the generalization of the LSM block cache to a store
+// inner store — a block cache generalized to a store
 // adapter: reads fill the cache from the inner store, writes stage in
 // the cache and reach the inner store on eviction, on Scan, and — in
 // one atomic inner Apply — at every durability point. That last rule is

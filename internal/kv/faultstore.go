@@ -360,7 +360,9 @@ func (f *Fault) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	var merged []pair
 	err := f.inner.Scan(start, end, func(k, v []byte) bool {
 		if _, shadowed := f.overlay[string(k)]; !shadowed {
-			merged = append(merged, pair{k, v})
+			// Copied: the inner store's slices are valid only during
+			// this callback.
+			merged = append(merged, pair{bytes.Clone(k), bytes.Clone(v)})
 		}
 		return true
 	})

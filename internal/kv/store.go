@@ -39,7 +39,9 @@ type Store interface {
 
 	// Scan calls fn for every key-value pair with start <= key < end in
 	// ascending key order. A nil start means the beginning; a nil end
-	// means the end. Scanning stops early when fn returns false.
+	// means the end. Scanning stops early when fn returns false. The
+	// slices passed to fn are valid only until fn returns (a store may
+	// reuse its read buffer); callers copy what they keep.
 	Scan(start, end []byte, fn func(key, value []byte) bool) error
 
 	// Sync flushes all previously written data to stable storage.

@@ -3,34 +3,82 @@ package lsm
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"sistream/internal/kv"
 )
 
-// These tests reconstruct the on-disk footprints a crash leaves at each
-// window of the flush/compaction sequence — SSTable written but manifest
-// not yet appended, manifest appended but the old WAL not yet unlinked,
-// WAL append torn mid-record — and assert that Open recovers exactly the
-// committed data: orphans ignored and removed, stale logs not replayed,
-// torn tails classified as expected tails rather than corruption.
+// These tests take the on-disk image a crash leaves at each window of a
+// fold — temp checkpoint written but not renamed, checkpoint renamed but
+// CURRENT not switched, CURRENT switched but the folded files not yet
+// deleted, a torn append after a fold — and assert that Open recovers
+// exactly the committed data: orphans ignored and removed, folded
+// segments not replayed, torn tails classified as expected tails rather
+// than corruption.
 
-// crashPut opens a DB, applies the puts durably and closes it — leaving
-// the data in the WAL (Close never flushes), the canonical pre-crash
-// state for the scenarios below.
-func crashPut(t *testing.T, dir string, kvs map[string]string) {
+// copyDir copies the regular files of src into a fresh directory: the
+// image of src a crash at this instant would leave (every write so far
+// reached disk).
+func copyDir(t *testing.T, src string) string {
 	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// crashImageAt builds a store with a checkpoint ("a", "b"="old") and a
+// live log over it ("b"="new", "c", "a" deleted), then folds with a crash
+// image taken at stage. It returns the image and the committed state.
+func crashImageAt(t *testing.T, stage foldStage) (string, map[string]string) {
+	t.Helper()
+	dir := t.TempDir()
 	d, err := Open(dir, Options{SyncWrites: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range kvs {
-		if err := d.Put([]byte(k), []byte(v)); err != nil {
+	defer d.Close()
+	for _, p := range [][2]string{{"a", "1"}, {"b", "old"}} {
+		if err := d.Put([]byte(p[0]), []byte(p[1])); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Close(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Put([]byte("b"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put([]byte("c"), []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Delete([]byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	var image string
+	d.foldHook = func(s foldStage) error {
+		if s == stage {
+			image = copyDir(t, dir)
+		}
+		return nil
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return image, map[string]string{"b": "new", "c": "3"}
 }
 
 // expectAll asserts that the DB serves exactly the committed map.
@@ -50,105 +98,134 @@ func expectAll(t *testing.T, d *DB, want map[string]string) {
 		if got[k] != v {
 			t.Fatalf("recovered %q=%q, want %q", k, got[k], v)
 		}
+		if g, ok, err := d.Get([]byte(k)); err != nil || !ok || string(g) != v {
+			t.Fatalf("Get(%q) = %q %v %v, want %q", k, g, ok, err, v)
+		}
 	}
 }
 
-// TestCrashBetweenSSTableWriteAndManifest: a crash after flushLocked has
-// fully written (and synced) the new SSTable but before the manifest edit
-// leaves an orphan .sst next to a WAL that still holds the data. Recovery
-// must take the WAL as truth: replay it, ignore the orphan and remove it.
-func TestCrashBetweenSSTableWriteAndManifest(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string]string{"a": "1", "b": "2", "c": "3"}
-	crashPut(t, dir, want)
-
-	// Forge the orphan: a real, well-formed SSTable under a file number the
-	// manifest has never heard of, with DIFFERENT (uncommitted) contents —
-	// exactly what a half-completed flush of a later memtable would leave.
-	orphan := sstPath(dir, 99)
-	b, err := newTableBuilder(orphan, 0)
+// onlyLiveFiles asserts that dir holds exactly the store's live files: CURRENT,
+// the checkpoint it names and segments above it.
+func onlyLiveFiles(t *testing.T, dir string) {
+	t.Helper()
+	rep, err := VerifyDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.add([]byte("zz-uncommitted"), []byte("ghost"), kindPut)
-	if _, _, _, _, err := b.finish(); err != nil {
-		t.Fatal(err)
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("recovery left orphans behind: %v", rep.Orphans)
 	}
+}
 
-	d, err := Open(dir, Options{})
+// TestCrashDuringCompactionLeavesOrphans: a crash mid-fold, after the
+// temp checkpoint is written and synced but before its rename, leaves a
+// .tmp file next to a CURRENT that still names the old checkpoint.
+// Recovery must take the old checkpoint plus the log as truth, remove the
+// temp file, and fold cleanly afterwards.
+func TestCrashDuringCompactionLeavesOrphans(t *testing.T) {
+	image, want := crashImageAt(t, foldTempWritten)
+	files, err := listDir(image)
+	if err != nil || len(files.temps) != 1 {
+		t.Fatalf("image holds temps %v (%v), want one temp checkpoint", files.temps, err)
+	}
+	d, err := Open(image, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
 	expectAll(t, d, want)
-	if _, ok, _ := d.Get([]byte("zz-uncommitted")); ok {
-		t.Fatal("orphan SSTable's uncommitted data leaked into recovery")
+	if st := d.Stats(); st.WALRecordsRecovered != 3 {
+		t.Fatalf("replayed %d records, want the 3 unfolded ones", st.WALRecordsRecovered)
 	}
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphan SSTable not garbage-collected: %v", err)
-	}
-}
-
-// TestCrashBeforeOldWALRemoval: a crash after the manifest records the
-// new log number but before the obsolete WAL is unlinked leaves a stale
-// lower-numbered log on disk. Its contents are already in an SSTable (or
-// were superseded); recovery must NOT replay it — double-applying old
-// deletes or resurrecting overwritten values — and must remove it.
-func TestCrashBeforeOldWALRemoval(t *testing.T) {
-	dir := t.TempDir()
-	d, err := Open(dir, Options{SyncWrites: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Put([]byte("k"), []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	// Flush moves "k"="old" into an SSTable, rotates the WAL and unlinks
-	// the old one; the overwrite below lives only in the new WAL.
+	onlyLiveFiles(t, image)
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("k"), []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	d.mu.RLock()
-	liveWAL := d.walNum
-	d.mu.RUnlock()
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resurrect a stale log OLDER than the manifest's recorded LogNum,
-	// holding a value that must not come back.
-	stale, err := newWALWriter(walPath(dir, liveWAL-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := stale.append(encodeBatchPayload(nil, []walOp{
-		{kind: kindPut, key: []byte("k"), value: []byte("resurrected")},
-		{kind: kindPut, key: []byte("ghost"), value: []byte("x")},
-	}), true); err != nil {
-		t.Fatal(err)
-	}
-	stale.close()
-
-	d2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	expectAll(t, d2, map[string]string{"k": "new"})
-	if _, err := os.Stat(walPath(dir, liveWAL-1)); !os.IsNotExist(err) {
-		t.Fatalf("stale WAL not garbage-collected: %v", err)
-	}
-	if st := d2.Stats(); st.WALTornTails != 0 {
-		t.Fatalf("clean logs misclassified: %d torn tails", st.WALTornTails)
-	}
+	expectAll(t, d, want)
 }
 
-// TestCrashTornWALAfterFlush: the full sequence — flushed history in
-// SSTables, then fresh commits in the live WAL, then a crash that tears
-// the final append. Recovery must keep the tables AND the durable WAL
+// TestCrashBetweenSSTableWriteAndManifest: a crash after the new
+// checkpoint is renamed into place but before CURRENT is switched to it
+// leaves a complete checkpoint CURRENT does not name. Recovery must use
+// the checkpoint CURRENT names plus the log — never the orphan, even when
+// its contents differ — and remove the orphan.
+func TestCrashBetweenSSTableWriteAndManifest(t *testing.T) {
+	image, want := crashImageAt(t, foldRenamed)
+	ckNum, _, err := readCurrent(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := listDir(image)
+	if err != nil || len(files.ckpts) != 2 {
+		t.Fatalf("image holds checkpoints %v (%v), want old and new", files.ckpts, err)
+	}
+	orphan := files.ckpts[1]
+	if orphan == ckNum {
+		t.Fatalf("CURRENT already names the new checkpoint %d", orphan)
+	}
+	// Forge the orphan's contents: uncommitted data must not leak.
+	writeCheckpointFile(t, image, orphan, [][2]string{{"zz-uncommitted", "ghost"}})
+	d, err := Open(image, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	expectAll(t, d, want)
+	onlyLiveFiles(t, image)
+}
+
+// TestCrashBeforeOldWALRemoval: a crash after CURRENT is switched but
+// before the folded segments and the old checkpoint are unlinked leaves
+// them on disk. Their contents are in the new checkpoint (or were
+// superseded); recovery must NOT replay them — resurrecting overwritten
+// values — and must remove them.
+func TestCrashBeforeOldWALRemoval(t *testing.T) {
+	image, want := crashImageAt(t, foldSwitched)
+	ckNum, _, err := readCurrent(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := listDir(image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale []uint64
+	for _, num := range files.wals {
+		if num < ckNum {
+			stale = append(stale, num)
+		}
+	}
+	if len(stale) == 0 || len(files.ckpts) != 2 {
+		t.Fatalf("image %+v with CURRENT %d: want folded segments and both checkpoints", files, ckNum)
+	}
+	// Make a folded segment hold values that must not come back.
+	w, err := newWALWriter(walPath(image, stale[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.appendBatch([]kv.Op{
+		{Kind: kv.OpPut, Key: []byte("b"), Value: []byte("resurrected")},
+		{Kind: kv.OpPut, Key: []byte("ghost"), Value: []byte("x")},
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	w.close()
+
+	d, err := Open(image, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	expectAll(t, d, want)
+	if st := d.Stats(); st.WALTornTails != 0 || st.WALRecordsRecovered != 0 {
+		t.Fatalf("folded segments replayed: %+v", st)
+	}
+	onlyLiveFiles(t, image)
+}
+
+// TestCrashTornWALAfterFlush: the full sequence — folded history in the
+// checkpoint, then fresh commits in the live log, then a crash that tears
+// the final append. Recovery must keep the checkpoint AND the durable log
 // prefix, discard only the torn record, and classify it as a torn tail
 // (expected crash shape), not corruption.
 func TestCrashTornWALAfterFlush(t *testing.T) {
@@ -157,7 +234,7 @@ func TestCrashTornWALAfterFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put([]byte("flushed"), []byte("1")); err != nil {
+	if err := d.Put([]byte("folded"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -166,22 +243,19 @@ func TestCrashTornWALAfterFlush(t *testing.T) {
 	if err := d.Put([]byte("walled"), []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	d.mu.RLock()
-	liveWAL := d.walNum
-	d.mu.RUnlock()
+	path := activeWAL(d)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Tear: append a record and chop it mid-payload.
-	path := walPath(dir, liveWAL)
 	w, err := newWALWriter(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(encodeBatchPayload(nil, []walOp{
-		{kind: kindPut, key: []byte("torn"), value: []byte("never-acked")},
-	}), true); err != nil {
+	if _, err := w.appendBatch([]kv.Op{
+		{Kind: kv.OpPut, Key: []byte("torn"), Value: []byte("never-acked")},
+	}, true); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -198,74 +272,21 @@ func TestCrashTornWALAfterFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	expectAll(t, d2, map[string]string{"flushed": "1", "walled": "2"})
+	expectAll(t, d2, map[string]string{"folded": "1", "walled": "2"})
 	st := d2.Stats()
 	if st.WALTornTails != 1 {
 		t.Fatalf("torn tail not classified: %d", st.WALTornTails)
 	}
-	if st.WALRecordsRecovered == 0 {
-		t.Fatal("durable WAL prefix not replayed")
+	if st.WALRecordsRecovered != 1 {
+		t.Fatalf("durable log prefix: %d records replayed, want 1", st.WALRecordsRecovered)
 	}
 }
 
-// TestCrashDuringCompactionLeavesOrphans: a crash mid-compaction leaves
-// fully written output tables that the manifest never adopted. They are
-// byte-identical duplicates of live data under unreferenced numbers;
-// recovery must ignore and remove them without disturbing the inputs.
-func TestCrashDuringCompactionLeavesOrphans(t *testing.T) {
-	dir := t.TempDir()
-	want := map[string]string{}
-	d, err := Open(dir, Options{SyncWrites: true, DisableAutoCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		k, v := string(rune('a'+i)), string(rune('0'+i))
-		want[k] = v
-		if err := d.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Flush(); err != nil { // three L0 tables
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The orphaned compaction output: a merged table of all live data,
-	// written under a fresh number but never installed.
-	b, err := newTableBuilder(sstPath(dir, 500), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		b.add([]byte(k), []byte(want[k]), kindPut)
-	}
-	if _, _, _, _, err := b.finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	expectAll(t, d2, want)
-	if _, err := os.Stat(sstPath(dir, 500)); !os.IsNotExist(err) {
-		t.Fatalf("orphan compaction output not removed: %v", err)
-	}
-	// And the survivor still compacts cleanly afterwards.
-	if err := d2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	expectAll(t, d2, want)
-}
-
-// TestBlockCorruptionSurfacesOnRead: a flipped bit inside a data block
-// must turn reads of that block into errCorrupt — never a silently wrong
-// value — while the DB still opens (the damage is found lazily, exactly
-// like a real latent sector error).
+// TestBlockCorruptionSurfacesOnRead: a flipped bit inside a checkpoint
+// data block must turn reads of that block into errCorrupt — never a
+// silently wrong or missing value — while the DB still opens (the damage
+// is found lazily, exactly like a real latent sector error). Damage to
+// the index or footer fails the Open instead.
 func TestBlockCorruptionSurfacesOnRead(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Options{SyncWrites: true})
@@ -278,38 +299,56 @@ func TestBlockCorruptionSurfacesOnRead(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var sstNum uint64
-	d.mu.RLock()
-	sstNum = d.cur.levels[0][0].num
-	d.mu.RUnlock()
+	path := ckptPath(dir, d.ckpt.num)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Flip one byte in the first data block (offset 0 is inside it).
-	path := sstPath(dir, sstNum)
-	data, err := os.ReadFile(path)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Flip one byte in the first data block (offset 2 is inside it).
+	data := append([]byte(nil), good...)
 	data[2] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	d2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
 	if _, _, err := d2.Get([]byte("key")); !errors.Is(err, errCorrupt) {
-		t.Fatalf("read of corrupt block = %v, want errCorrupt", err)
+		t.Fatalf("Get of corrupt block = %v, want errCorrupt", err)
+	}
+	if err := d2.Scan(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, errCorrupt) {
+		t.Fatalf("Scan of corrupt block = %v, want errCorrupt", err)
+	}
+	// A scan that would stop early on a live-log key past the damage must
+	// still report it, not return a prefix with the block's keys missing.
+	if err := d2.Put([]byte("log-only"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Scan(nil, nil, func(_, _ []byte) bool { return false }); !errors.Is(err, errCorrupt) {
+		t.Fatalf("early-stopped Scan over a corrupt block = %v, want errCorrupt", err)
+	}
+	d2.Close()
+
+	// Flip a byte of the index (just before the footer): Open fails.
+	data = append(data[:0], good...)
+	data[len(data)-ckptFooterLen-5] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); !errors.Is(err, errCorrupt) {
+		t.Fatalf("Open over a corrupt index = %v, want errCorrupt", err)
 	}
 }
 
 // TestVerifyDirCleanAndCorrupt: the offline verifier passes a healthy
-// directory (reporting its shape) and pinpoints a corrupted data block,
-// an orphaned table and mid-WAL corruption without ever opening the DB.
+// directory (reporting its shape) and pinpoints a corrupted checkpoint
+// block, orphaned files, mid-WAL corruption and a bad CURRENT without
+// ever opening the DB.
 func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Options{SyncWrites: true})
@@ -327,10 +366,7 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	if err := d.Put([]byte("in-wal"), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	var sstNum uint64
-	d.mu.RLock()
-	sstNum = d.cur.levels[0][0].num
-	d.mu.RUnlock()
+	ckNum := d.ckpt.num
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,32 +375,35 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean dir failed verify: %v", err)
 	}
-	if rep.Tables != 1 || rep.Blocks == 0 || rep.Entries != 50 {
+	if rep.Checkpoint != ckNum || rep.Blocks == 0 || rep.Entries != 50 {
 		t.Fatalf("unexpected report %+v", rep)
 	}
-	if rep.WALRecords == 0 {
-		t.Fatal("live WAL records not counted")
+	if rep.WALs != 1 || rep.WALRecords != 1 {
+		t.Fatalf("live WAL records not counted: %+v", rep)
 	}
-	if len(rep.OrphanTables) != 0 {
-		t.Fatalf("phantom orphans: %v", rep.OrphanTables)
+	if len(rep.Orphans) != 0 {
+		t.Fatalf("phantom orphans: %v", rep.Orphans)
 	}
 
-	// An orphan is reported, not failed.
-	if err := os.WriteFile(sstPath(dir, 777), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
+	// Orphans are reported, not failed.
+	for _, name := range []string{ckptName(777), ckptName(778) + tmpSuffix} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rep, err = VerifyDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.OrphanTables) != 1 || rep.OrphanTables[0] != 777 {
-		t.Fatalf("orphan not reported: %+v", rep)
+	if len(rep.Orphans) != 2 {
+		t.Fatalf("orphans not reported: %+v", rep)
 	}
-	os.Remove(sstPath(dir, 777))
+	os.Remove(filepath.Join(dir, ckptName(777)))
+	os.Remove(filepath.Join(dir, ckptName(778)+tmpSuffix))
 
-	// Corrupt one byte of the live table's first data block: verify must
-	// fail and name the block.
-	path := sstPath(dir, sstNum)
+	// Corrupt one byte of the first data block: verify must fail and name
+	// the block.
+	path := ckptPath(dir, ckNum)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +412,8 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyDir(dir); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "block") {
-		t.Fatalf("verify of corrupt block = %v, want errCorrupt naming the block", err)
+	if _, err := VerifyDir(dir); !errors.Is(err, errCorrupt) || !strings.Contains(err.Error(), "block 0") {
+		t.Fatalf("verify of corrupt block = %v, want errCorrupt naming block 0", err)
 	}
 	data[1] ^= 0x01
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -382,11 +421,11 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	}
 
 	// Mid-WAL corruption (records after the damage) must fail strictly.
-	wals, _, _, err := listFiles(dir)
+	wals, err := WALFiles(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal := walPath(dir, wals[len(wals)-1])
+	wal := wals[len(wals)-1]
 	wdata, err := os.ReadFile(wal)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +434,7 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(encodeBatchPayload(nil, []walOp{{kind: kindPut, key: []byte("after"), value: []byte("y")}}), true); err != nil {
+	if _, err := w.appendBatch([]kv.Op{{Kind: kv.OpPut, Key: []byte("after"), Value: []byte("y")}}, true); err != nil {
 		t.Fatal(err)
 	}
 	w.close()
@@ -409,5 +448,16 @@ func TestVerifyDirCleanAndCorrupt(t *testing.T) {
 	}
 	if _, err := VerifyDir(dir); !errors.Is(err, errCorrupt) {
 		t.Fatalf("verify of mid-corrupt WAL = %v, want errCorrupt", err)
+	}
+	if err := os.WriteFile(wal, wdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A CURRENT that does not parse fails verification.
+	if err := os.WriteFile(filepath.Join(dir, currentName), []byte("checkpoint x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := VerifyDir(dir); !errors.Is(err, errCorrupt) {
+		t.Fatalf("verify with a bad CURRENT = %v, want errCorrupt", err)
 	}
 }

@@ -1,9 +1,12 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -11,7 +14,7 @@ import (
 )
 
 // ErrDBFailed is the sticky fail-stop error of a failed DB: after any
-// WAL, flush, manifest, compaction or sync error the durable state is
+// WAL, fold, rename, CURRENT or sync error the durable state is
 // unknowable, so every subsequent write returns an error wrapping this
 // sentinel (and the original cause) while reads keep serving — graceful
 // degradation to read-only until the process restarts and recovery
@@ -25,96 +28,82 @@ type dbFailure struct {
 	wrapped error
 }
 
-// Options configures a DB. The zero value is usable; unset fields take the
-// defaults below.
+// Options configures a DB. The zero value is usable.
 type Options struct {
 	// SyncWrites makes single-op Put/Delete durable before returning.
 	// Batched Apply takes an explicit per-call sync flag, matching the
 	// paper's setup where transactional commits are the synchronous unit.
 	SyncWrites bool
-	// MemtableBytes is the flush threshold (default 4 MiB).
-	MemtableBytes int
-	// BlockBytes is the SSTable data-block size (default 4 KiB).
-	BlockBytes int
-	// L0CompactionTrigger is the L0 table count that triggers compaction
-	// (default 4).
-	L0CompactionTrigger int
-	// BaseLevelBytes is the size budget of level 1 (default 8 MiB);
-	// level l holds BaseLevelBytes * LevelMultiplier^(l-1).
-	BaseLevelBytes uint64
-	// LevelMultiplier is the per-level growth factor (default 10).
-	LevelMultiplier int
-	// MaxOutputBytes caps individual compaction output tables
-	// (default 2 MiB).
-	MaxOutputBytes uint64
-	// DisableAutoCompaction turns off flush-triggered compaction; tests
-	// use it to construct specific layouts.
-	DisableAutoCompaction bool
-	// BlockCacheBlocks is the capacity of the shared data-block LRU cache
-	// serving point lookups, in blocks (default 256 — 1 MiB at the
-	// default block size). Negative disables caching.
-	BlockCacheBlocks int
 }
 
-func (o Options) withDefaults() Options {
-	if o.MemtableBytes == 0 {
-		o.MemtableBytes = 4 << 20
-	}
-	if o.BlockBytes == 0 {
-		o.BlockBytes = defaultBlockLen
-	}
-	if o.L0CompactionTrigger == 0 {
-		o.L0CompactionTrigger = 4
-	}
-	if o.BaseLevelBytes == 0 {
-		o.BaseLevelBytes = 8 << 20
-	}
-	if o.LevelMultiplier == 0 {
-		o.LevelMultiplier = 10
-	}
-	if o.MaxOutputBytes == 0 {
-		o.MaxOutputBytes = 2 << 20
-	}
-	if o.BlockCacheBlocks == 0 {
-		o.BlockCacheBlocks = 256
-	}
-	return o
+// minFoldBytes is the least unfolded log that triggers a fold; above it
+// the threshold is the checkpoint's size, so folding stays linear in the
+// data written.
+const minFoldBytes = 4 << 20
+
+// segment is one live log segment: records not yet folded into the
+// checkpoint.
+type segment struct {
+	num  uint64
+	size int64 // bytes on disk that belong to the log
 }
 
-// DB is a persistent key-value store implementing kv.Store. See the
-// package comment for the on-disk architecture.
+// foldStage names the points of a fold between its durable steps.
+type foldStage int
+
+const (
+	foldTempWritten foldStage = iota // temp checkpoint synced, not renamed
+	foldRenamed                      // checkpoint renamed, CURRENT not switched
+	foldSwitched                     // CURRENT switched, folded files remain
+)
+
+// foldJob is the input of one fold: the checkpoint it replaces and the
+// sealed segments it absorbs. num names the new checkpoint; it is above
+// every segment of the job and below the active segment.
+type foldJob struct {
+	num  uint64
+	base *checkpoint
+	segs []segment
+}
+
+// DB is a persistent key-value store implementing kv.Store: a write-ahead
+// log plus one checkpoint folded from it in the background. See the
+// package comment for the on-disk layout.
 type DB struct {
 	dir  string
 	opts Options
 
-	// writeMu serializes the write path (WAL append + memtable insert +
-	// flush/compaction). Held for the full duration of Apply.
+	// writeMu serializes the write path: Apply, Sync, sealing a segment,
+	// Flush and Close. A background fold does not take it.
 	writeMu sync.Mutex
+	wal     *walWriter // the active segment's writer
+	nextNum uint64
+	// unfolded counts the log bytes not claimed by a fold; reaching
+	// max(foldMin, checkpoint size) seals the active segment for one.
+	unfolded int64
+	foldMin  int64
+	// foldDone is closed when the in-flight fold ends; nil when none has
+	// run since the last wait.
+	foldDone chan struct{}
+	// foldHook, when set (tests only), runs at each fold stage; an error
+	// fails the fold there.
+	foldHook func(foldStage) error
 
-	// mu guards the fields below. Readers take RLock briefly to snapshot
-	// (memtable, version) and then work lock-free on the snapshot.
-	mu          sync.RWMutex
-	mem         *memtable
-	cur         *version
-	wal         *walWriter
-	walNum      uint64
-	nextFileNum uint64
-	manifest    *manifestWriter
-	manifestNum uint64
-	compactPtr  [numLevels][]byte
-	closed      bool
+	// mu guards the read state below. Readers hold it shared for a whole
+	// Get or Scan; Apply and a fold's install take it exclusively.
+	mu     sync.RWMutex
+	ckpt   *checkpoint // nil until the first fold
+	segs   []segment   // live segments, oldest first; the last is active
+	view   *liveView   // decoded live log; built by a read, dropped by Apply
+	viewMu sync.Mutex  // serializes building view under a shared mu
+	closed bool
+	folds  int
 
 	// failure, when non-nil, is the sticky fail-stop record: a write-path
 	// error of unknowable durable effect happened and the DB refuses all
 	// further writes (see ErrDBFailed). Set once via CAS; never cleared.
 	failure atomic.Pointer[dbFailure]
 
-	// cache is the shared data-block LRU (nil when disabled).
-	cache *blockCache
-
-	// stats
-	flushes     int
-	compactions int
 	// WAL recovery counters, set once at Open: durable records replayed
 	// and torn final records (partial appends from a crash) discarded.
 	walRecovered int
@@ -123,202 +112,118 @@ type DB struct {
 
 var _ kv.Store = (*DB)(nil)
 
-// Open opens (creating if necessary) a DB in dir.
+// Open opens (creating if necessary) a DB in dir. It loads the checkpoint
+// CURRENT names, replays the live segments strictly (a torn final record
+// is discarded, mid-segment corruption fails the Open) and removes the
+// files an interrupted fold left behind.
 func Open(dir string, opts Options) (*DB, error) {
-	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	d := &DB{dir: dir, opts: opts, mem: newMemtable(), cur: newVersion(), nextFileNum: 1,
-		cache: newBlockCache(opts.BlockCacheBlocks)}
-
-	manifestNum, haveCurrent, err := readCurrent(dir)
+	files, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var logNum uint64
-	if haveCurrent {
-		logNum, err = d.recoverManifest(manifestNum)
-		if err != nil {
+	ckNum, haveCurrent, err := readCurrent(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !haveCurrent {
+		if len(files.wals)+len(files.ckpts) > 0 {
+			return nil, fmt.Errorf("lsm: %s holds store files but no CURRENT", dir)
+		}
+		if err := writeCurrent(dir, 0); err != nil {
 			return nil, err
 		}
 	}
-
-	// Replay any WALs at or after logNum into the memtable, oldest first.
-	wals, ssts, manifests, err := listFiles(dir)
-	if err != nil {
-		return nil, err
+	d := &DB{dir: dir, opts: opts, foldMin: minFoldBytes, nextNum: max(files.maxNum, ckNum) + 1}
+	if ckNum > 0 {
+		if d.ckpt, err = openCheckpoint(dir, ckNum); err != nil {
+			return nil, err
+		}
 	}
-	replayed := false
-	for _, num := range wals {
-		if num < logNum {
+	var last walReplayStats // of the newest live segment
+	for _, num := range files.wals {
+		if num <= ckNum {
 			continue
 		}
-		st, err := replayWAL(walPath(dir, num), func(ops []walOp) error {
-			for _, op := range ops {
-				d.mem.set(op.key, op.value, op.kind)
-			}
-			return nil
-		})
-		d.walRecovered += st.records
-		if st.tornTail {
+		data, err := os.ReadFile(walPath(dir, num))
+		if err == nil {
+			last, err = replaySegment(data, nil)
+		}
+		d.walRecovered += last.records
+		if last.tornTail {
 			d.walTornTails++
 		}
 		if err != nil {
-			return nil, fmt.Errorf("lsm: replay wal %d: %w", num, err)
+			d.closeCkpt()
+			return nil, fmt.Errorf("lsm: replay wal %06d: %w", num, err)
 		}
-		replayed = true
+		d.segs = append(d.segs, segment{num: num, size: int64(len(data))})
+		d.unfolded += int64(len(data))
 	}
-
-	// Start a fresh manifest so old edits are compacted away.
-	if err := d.rotateManifest(); err != nil {
+	if err := d.removeObsolete(files, ckNum); err != nil {
+		d.closeCkpt()
 		return nil, err
 	}
-	// Fresh WAL for new writes.
-	if err := d.rotateWAL(); err != nil {
+	// Appends continue in the newest segment, cut back to its last whole
+	// record if a crash tore it; a fresh store starts segment nextNum.
+	if n := len(d.segs); n > 0 && last.tornTail {
+		seg := &d.segs[n-1]
+		if err := os.Truncate(walPath(dir, seg.num), last.valid); err != nil {
+			d.closeCkpt()
+			return nil, err
+		}
+		d.unfolded -= seg.size - last.valid
+		seg.size = last.valid
+	}
+	created := len(d.segs) == 0
+	if created {
+		d.segs = append(d.segs, segment{num: d.nextNum})
+		d.nextNum++
+	}
+	if d.wal, err = newWALWriter(walPath(dir, d.segs[len(d.segs)-1].num)); err == nil && created {
+		err = syncDir(dir)
+	}
+	if err != nil {
+		if d.wal != nil {
+			d.wal.close()
+		}
+		d.closeCkpt()
 		return nil, err
-	}
-	// If recovery found WAL data, persist it as an SSTable now so the old
-	// WALs can be removed and the state is clean.
-	if replayed && d.mem.len() > 0 {
-		if err := d.flushLocked(); err != nil {
-			return nil, err
-		}
-	} else {
-		// Record the current log number so recovery ignores older WALs.
-		if err := d.manifest.append(&versionEdit{LogNum: d.walNum, NextFileNum: d.nextFileNum}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Garbage-collect files that are not referenced by the live state.
-	live := map[uint64]bool{}
-	for _, level := range d.cur.levels {
-		for _, f := range level {
-			live[f.num] = true
-		}
-	}
-	for _, num := range ssts {
-		if !live[num] {
-			os.Remove(sstPath(dir, num))
-		}
-	}
-	for _, num := range wals {
-		if num != d.walNum {
-			os.Remove(walPath(dir, num))
-		}
-	}
-	for _, num := range manifests {
-		if num != d.manifestNum {
-			os.Remove(manifestPath(dir, num))
-		}
 	}
 	return d, nil
 }
 
-// recoverManifest rebuilds the version from the manifest and returns the
-// recorded log number.
-func (d *DB) recoverManifest(num uint64) (logNum uint64, err error) {
-	type slot struct {
-		ef editFile
-	}
-	files := map[uint64]slot{}
-	levelOf := map[uint64]int{}
-	err = readManifest(manifestPath(d.dir, num), func(e *versionEdit) error {
-		if e.LogNum > logNum {
-			logNum = e.LogNum
-		}
-		if e.NextFileNum > d.nextFileNum {
-			d.nextFileNum = e.NextFileNum
-		}
-		for _, ref := range e.DelFiles {
-			delete(files, ref.Num)
-			delete(levelOf, ref.Num)
-		}
-		for _, ef := range e.AddFiles {
-			files[ef.Num] = slot{ef}
-			levelOf[ef.Num] = ef.Level
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("lsm: recover manifest: %w", err)
-	}
-	for fnum, s := range files {
-		reader, err := openTable(sstPath(d.dir, fnum), fnum, d.cache)
-		if err != nil {
-			return 0, fmt.Errorf("lsm: recover table %d: %w", fnum, err)
-		}
-		fm := &fileMeta{
-			num: fnum, size: s.ef.Size, count: s.ef.Count,
-			smallest: s.ef.Smallest, largest: s.ef.Largest,
-			reader: reader, dir: d.dir,
-		}
-		fm.ref()
-		d.cur.levels[levelOf[fnum]] = append(d.cur.levels[levelOf[fnum]], fm)
-	}
-	for l := range d.cur.levels {
-		d.cur.sortLevel(l)
-	}
-	return logNum, nil
-}
-
-// rotateManifest starts a new manifest containing a full snapshot of the
-// current version and repoints CURRENT at it.
-func (d *DB) rotateManifest() error {
-	num := d.nextFileNum
-	d.nextFileNum++
-	mw, err := newManifestWriter(manifestPath(d.dir, num))
-	if err != nil {
-		return err
-	}
-	snapshot := &versionEdit{Comparator: "bytes", NextFileNum: d.nextFileNum}
-	for l, level := range d.cur.levels {
-		for _, f := range level {
-			snapshot.AddFiles = append(snapshot.AddFiles, editFile{
-				Level: l, Num: f.num, Size: f.size, Count: f.count,
-				Smallest: f.smallest, Largest: f.largest,
-			})
+// removeObsolete deletes what an interrupted fold leaves behind: temp
+// files, checkpoints CURRENT does not name and segments it has folded.
+func (d *DB) removeObsolete(files dirFiles, ckNum uint64) error {
+	for _, name := range files.temps {
+		if err := removeFile(d.dir, name); err != nil {
+			return err
 		}
 	}
-	if err := mw.append(snapshot); err != nil {
-		mw.close()
-		return err
+	for _, num := range files.ckpts {
+		if num != ckNum {
+			if err := removeFile(d.dir, ckptName(num)); err != nil {
+				return err
+			}
+		}
 	}
-	if err := writeCurrent(d.dir, num); err != nil {
-		mw.close()
-		return err
+	for _, num := range files.wals {
+		if num <= ckNum {
+			if err := removeFile(d.dir, walName(num)); err != nil {
+				return err
+			}
+		}
 	}
-	if d.manifest != nil {
-		d.manifest.close()
-		os.Remove(manifestPath(d.dir, d.manifestNum))
-	}
-	d.manifest = mw
-	d.manifestNum = num
 	return nil
 }
 
-// rotateWAL closes the current WAL (if any) and opens a fresh one.
-func (d *DB) rotateWAL() error {
-	num := d.nextFileNum
-	d.nextFileNum++
-	w, err := newWALWriter(walPath(d.dir, num))
-	if err != nil {
-		return err
+func (d *DB) closeCkpt() {
+	if d.ckpt != nil {
+		d.ckpt.close()
 	}
-	if d.wal != nil {
-		d.wal.close()
-	}
-	d.wal = w
-	d.walNum = num
-	return nil
-}
-
-func (d *DB) checkOpen() error {
-	if d.closed {
-		return kv.ErrClosed
-	}
-	return nil
 }
 
 // Err reports the DB's sticky fail-stop state: nil while healthy,
@@ -346,42 +251,35 @@ func (d *DB) fail(err error) error {
 // everything else.
 func (d *DB) checkWrite() error {
 	d.mu.RLock()
-	err := d.checkOpen()
+	closed := d.closed
 	d.mu.RUnlock()
-	if err != nil {
-		return err
+	if closed {
+		return kv.ErrClosed
 	}
 	return d.Err()
 }
 
-// Get implements kv.Store.
+// Get implements kv.Store. The returned value is a copy.
 func (d *DB) Get(key []byte) ([]byte, bool, error) {
 	d.mu.RLock()
-	if err := d.checkOpen(); err != nil {
-		d.mu.RUnlock()
+	defer d.mu.RUnlock()
+	if d.closed {
+		return nil, false, kv.ErrClosed
+	}
+	v, err := d.liveViewLocked()
+	if err != nil {
 		return nil, false, err
 	}
-	if v, kind, found := d.mem.get(key); found {
-		// Copy out: the memtable buffer may be overwritten in place.
-		var out []byte
-		if kind == kindPut {
-			out = append([]byte(nil), v...)
-		}
-		d.mu.RUnlock()
-		if kind == kindDelete {
+	if e, ok := v.find(key); ok {
+		if e.del {
 			return nil, false, nil
 		}
-		return out, true, nil
+		return bytes.Clone(e.value), true, nil
 	}
-	v := d.cur
-	v.ref()
-	d.mu.RUnlock()
-	defer v.unref()
-	value, kind, found, err := v.get(key)
-	if err != nil || !found || kind == kindDelete {
-		return nil, false, err
+	if d.ckpt == nil {
+		return nil, false, nil
 	}
-	return value, true, nil
+	return d.ckpt.get(key)
 }
 
 // Put implements kv.Store.
@@ -398,232 +296,302 @@ func (d *DB) Delete(key []byte) error {
 	return d.Apply(b, d.opts.SyncWrites)
 }
 
-// Apply implements kv.Store: one WAL record, then the memtable, then a
-// flush + compaction round if the memtable is full. The batch is durable
-// on return when sync is true.
+// Apply implements kv.Store: the batch becomes one WAL record, durable on
+// return when sync is true. When the unfolded log reaches the fold
+// threshold and no fold is running, the active segment is sealed and a
+// background fold started.
 func (d *DB) Apply(b *kv.Batch, sync bool) error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
-
 	if err := d.checkWrite(); err != nil {
 		return err
 	}
-
-	ops := make([]walOp, 0, b.Len())
-	for _, op := range b.Ops() {
-		k := kindPut
-		if op.Kind == kv.OpDelete {
-			k = kindDelete
-		}
-		ops = append(ops, walOp{kind: k, key: op.Key, value: op.Value})
-	}
-	payload := encodeBatchPayload(nil, ops)
-	if err := d.wal.append(payload, sync); err != nil {
-		// Fail-stop: the WAL's durable contents are now unknown (the
+	n, err := d.wal.appendBatch(b.Ops(), sync)
+	if err != nil {
+		// Fail-stop: the segment's durable contents are now unknown (the
 		// writer's sticky error, see walWriter); no later write may
 		// report success on top of it.
 		return d.fail(err)
 	}
-
 	d.mu.Lock()
-	for _, op := range ops {
-		d.mem.set(op.key, op.value, op.kind)
+	d.segs[len(d.segs)-1].size += int64(n)
+	d.view = nil
+	threshold := d.foldMin
+	if d.ckpt != nil {
+		threshold = max(threshold, d.ckpt.size)
 	}
-	full := d.mem.approximateBytes() >= d.opts.MemtableBytes
 	d.mu.Unlock()
-
-	if full {
-		if err := d.flushLocked(); err != nil {
-			return d.fail(err)
-		}
-		if !d.opts.DisableAutoCompaction {
-			if err := d.maybeCompact(); err != nil {
-				return d.fail(err)
-			}
-		}
-	}
-	return nil
-}
-
-// flushLocked writes the memtable to an L0 SSTable, rotates the WAL and
-// installs the edit. Caller must hold writeMu (or be the only goroutine,
-// as during Open).
-func (d *DB) flushLocked() error {
-	d.mu.Lock()
-	mem := d.mem
-	if mem.len() == 0 {
-		d.mu.Unlock()
+	d.unfolded += int64(n)
+	if d.unfolded < threshold || d.folding() {
 		return nil
 	}
-	num := d.nextFileNum
-	d.nextFileNum++
-	d.mu.Unlock()
-
-	b, err := newTableBuilder(sstPath(d.dir, num), d.opts.BlockBytes)
+	job, err := d.seal()
 	if err != nil {
-		return err
+		return d.fail(err)
 	}
-	it := mem.iterator()
-	for it.seekToFirst(); it.valid(); it.next() {
-		b.add(it.key(), it.value(), it.kind())
-	}
-	count, smallest, largest, size, err := b.finish()
-	if err != nil {
-		return err
-	}
-	reader, err := openTable(sstPath(d.dir, num), num, d.cache)
-	if err != nil {
-		return err
-	}
-	fm := &fileMeta{
-		num: num, size: size, count: count,
-		smallest: append([]byte(nil), smallest...),
-		largest:  append([]byte(nil), largest...),
-		reader:   reader, dir: d.dir,
-	}
-
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	oldWAL := d.walNum
-	if err := d.rotateWAL(); err != nil {
-		return err
-	}
-	edit := &versionEdit{
-		LogNum: d.walNum,
-		AddFiles: []editFile{{
-			Level: 0, Num: num, Size: size, Count: count,
-			Smallest: fm.smallest, Largest: fm.largest,
-		}},
-	}
-	if err := d.applyEdit(edit, []*fileMeta{fm}); err != nil {
-		return err
-	}
-	d.mem = newMemtable()
-	d.flushes++
-	os.Remove(walPath(d.dir, oldWAL))
+	done := make(chan struct{})
+	d.foldDone = done
+	go func() {
+		defer close(done)
+		d.fold(job)
+	}()
 	return nil
 }
 
-// maybeCompact runs compactions until the shape invariants hold.
-func (d *DB) maybeCompact() error {
-	for {
-		d.mu.RLock()
-		level := d.pickCompaction()
-		d.mu.RUnlock()
-		if level < 0 {
-			return nil
-		}
-		if err := d.compact(level); err != nil {
-			return err
-		}
-		d.mu.Lock()
-		d.compactions++
-		d.mu.Unlock()
+// folding reports whether a fold is in flight. Caller holds writeMu.
+func (d *DB) folding() bool {
+	if d.foldDone == nil {
+		return false
+	}
+	select {
+	case <-d.foldDone:
+		d.foldDone = nil
+		return false
+	default:
+		return true
 	}
 }
 
-// Flush forces the memtable to disk; exposed for tests and tooling.
+// waitFold blocks until the in-flight fold, if any, has ended. Caller
+// holds writeMu.
+func (d *DB) waitFold() {
+	if d.foldDone != nil {
+		<-d.foldDone
+		d.foldDone = nil
+	}
+}
+
+// seal syncs and closes the active segment, opens the next one and
+// returns the fold job for every segment before it. Syncing first keeps
+// what survives a crash a prefix of the log; syncing the directory makes
+// the new segment's name as durable as the commits synced into it.
+// Caller holds writeMu, and no fold is in flight.
+func (d *DB) seal() (*foldJob, error) {
+	if err := d.wal.sync(); err != nil {
+		return nil, err
+	}
+	num, active := d.nextNum, d.nextNum+1
+	w, err := newWALWriter(walPath(d.dir, active))
+	if err == nil {
+		if err = syncDir(d.dir); err != nil {
+			w.close()
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.nextNum += 2
+	d.wal.close() // synced above: a close error loses nothing
+	d.wal = w
+	d.mu.Lock()
+	job := &foldJob{num: num, base: d.ckpt, segs: slices.Clone(d.segs)}
+	d.segs = append(d.segs, segment{num: active})
+	d.mu.Unlock()
+	d.unfolded = 0
+	return job, nil
+}
+
+// fold merges the job's base checkpoint with its segments (last writer
+// wins, tombstones dropped) into a new checkpoint, installs it by fsync,
+// rename and a CURRENT switch, and only then deletes the folded files.
+// Any error latches the DB's fail-stop state; the old checkpoint and the
+// segments stay live, so reads keep serving.
+func (d *DB) fold(job *foldJob) error {
+	if err := d.writeCheckpoint(job); err != nil {
+		// Best effort: Open deletes a temp checkpoint that survives this.
+		os.Remove(ckptPath(d.dir, job.num) + tmpSuffix)
+		return d.fail(err)
+	}
+	if err := d.installCheckpoint(job); err != nil {
+		return d.fail(err)
+	}
+	return nil
+}
+
+// writeCheckpoint writes and syncs the job's temp checkpoint.
+func (d *DB) writeCheckpoint(job *foldJob) error {
+	v, err := buildView(d.dir, job.segs)
+	if err != nil {
+		return err
+	}
+	f, err := os.OpenFile(ckptPath(d.dir, job.num)+tmpSuffix, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	if err != nil {
+		return fmt.Errorf("lsm: fold: %w", err)
+	}
+	cw := newCkptWriter(f)
+	var base *ckptIter
+	if job.base != nil {
+		base = job.base.iter(nil, nil)
+	}
+	err = mergeScan(base, v.entries, nil, cw.add)
+	if err == nil {
+		err = cw.finish()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("lsm: fold: write checkpoint %06d: %w", job.num, err)
+	}
+	return d.hook(foldTempWritten)
+}
+
+// installCheckpoint renames the temp checkpoint into place, switches
+// CURRENT to it, swaps it in for readers and deletes the folded files.
+func (d *DB) installCheckpoint(job *foldJob) error {
+	path := ckptPath(d.dir, job.num)
+	if err := os.Rename(path+tmpSuffix, path); err != nil {
+		return fmt.Errorf("lsm: fold: %w", err)
+	}
+	if err := syncDir(d.dir); err != nil {
+		return err
+	}
+	if err := d.hook(foldRenamed); err != nil {
+		return err
+	}
+	if err := writeCurrent(d.dir, job.num); err != nil {
+		return err
+	}
+	if err := d.hook(foldSwitched); err != nil {
+		return err
+	}
+	ck, err := openCheckpoint(d.dir, job.num)
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.ckpt = ck
+	d.segs = d.segs[len(job.segs):]
+	d.view = nil
+	d.folds++
+	d.mu.Unlock()
+	if job.base != nil {
+		job.base.close()
+		if err := removeFile(d.dir, ckptName(job.base.num)); err != nil {
+			return err
+		}
+	}
+	for _, s := range job.segs {
+		if err := removeFile(d.dir, walName(s.num)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *DB) hook(stage foldStage) error {
+	if d.foldHook == nil {
+		return nil
+	}
+	return d.foldHook(stage)
+}
+
+// Flush folds the whole log into the checkpoint synchronously, after
+// waiting for a fold in flight. With nothing unfolded it does nothing.
 func (d *DB) Flush() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
+	d.waitFold()
 	if err := d.checkWrite(); err != nil {
 		return err
 	}
-	if err := d.flushLocked(); err != nil {
+	d.mu.RLock()
+	empty := len(d.segs) == 1 && d.segs[0].size == 0
+	d.mu.RUnlock()
+	if empty {
+		return nil
+	}
+	job, err := d.seal()
+	if err != nil {
 		return d.fail(err)
 	}
-	if !d.opts.DisableAutoCompaction {
-		if err := d.maybeCompact(); err != nil {
-			return d.fail(err)
-		}
-	}
-	return nil
+	return d.fold(job)
 }
 
-// Compact forces a full compaction: the memtable is flushed and every
-// populated level is merged downward until all data lives in a single
-// level, dropping every droppable tombstone. Exposed for tooling
-// (lsmtool compact) and tests.
-func (d *DB) Compact() error {
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
-	if err := d.checkWrite(); err != nil {
-		return err
-	}
-	if err := d.flushLocked(); err != nil {
-		return d.fail(err)
-	}
-	for level := 0; level < numLevels-1; level++ {
-		for {
-			d.mu.RLock()
-			n := len(d.cur.levels[level])
-			deeper := false
-			for l := level + 1; l < numLevels; l++ {
-				if len(d.cur.levels[l]) > 0 {
-					deeper = true
-				}
-			}
-			d.mu.RUnlock()
-			// Stop when the level is empty, or it is the bottom-most
-			// populated level (nothing to merge into).
-			if n == 0 || (!deeper && level > 0) {
-				break
-			}
-			if err := d.compact(level); err != nil {
-				return d.fail(err)
-			}
-			d.mu.Lock()
-			d.compactions++
-			d.mu.Unlock()
-		}
-	}
-	return nil
-}
-
-// Scan implements kv.Store. It merges the memtable with all table levels
+// Scan implements kv.Store. It merges the checkpoint with the live log
 // and yields live (non-tombstone) entries in ascending key order.
 //
-// The scan holds the database read lock for its whole duration, so fn must
-// not call back into the DB. Transactional reads in this repository are
-// served by the MVCC layer above, which maintains its own versioned view;
-// base-table scans happen during recovery and tooling only.
+// The key and value slices passed to fn are valid only until fn returns:
+// checkpoint pairs alias a block buffer that the next block overwrites.
+// Callers copy what they keep. The scan holds the read latch for its
+// whole duration, so fn must not call back into the DB. Transactional
+// reads are served by the MVCC layer above; base-table scans happen
+// during recovery and tooling only.
 func (d *DB) Scan(start, end []byte, fn func(key, value []byte) bool) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	if err := d.checkOpen(); err != nil {
+	if d.closed {
+		return kv.ErrClosed
+	}
+	v, err := d.liveViewLocked()
+	if err != nil {
 		return err
 	}
-	var sources []*mergeSource
-	age := 0
-	sources = append(sources, &mergeSource{it: &memIterAdapter{it: d.mem.iterator()}, age: age})
-	age++
-	for _, f := range d.cur.levels[0] {
-		sources = append(sources, &mergeSource{it: f.reader.iterator(), age: age})
-		age++
+	var ck *ckptIter
+	if d.ckpt != nil {
+		ck = d.ckpt.iter(start, nil)
 	}
-	for l := 1; l < numLevels; l++ {
-		for _, f := range d.cur.levels[l] {
-			sources = append(sources, &mergeSource{it: f.reader.iterator(), age: age})
+	ents := v.entries[v.search(start):]
+	return mergeScan(ck, ents, end, func(k, v []byte) error {
+		if !fn(k, v) {
+			return errStopScan
 		}
-		age++
-	}
-	merge := newMergingIterator(sources, start)
-	for merge.next() {
-		if end != nil && kv.CompareKeys(merge.key(), end) >= 0 {
-			break
-		}
-		if merge.kind() == kindDelete {
-			continue
-		}
-		if !fn(merge.key(), merge.value()) {
-			break
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
-// Sync implements kv.Store: it fsyncs the active WAL. A sync failure is
-// fail-stop (see ErrDBFailed) — the kernel may drop dirty pages after
+// errStopScan ends a merge early without an error.
+var errStopScan = errors.New("lsm: scan stopped")
+
+// mergeScan walks the checkpoint iterator (nil for none) and the sorted
+// view entries together in key order up to end (nil for no bound): a view
+// entry shadows the checkpoint pair with its key, tombstones are skipped.
+// emit returning errStopScan ends the walk cleanly. A checkpoint error
+// ends it at once, so no pair past the damage is emitted.
+func mergeScan(ck *ckptIter, ents []viewEntry, end []byte, emit func(k, v []byte) error) error {
+	nextC := func() (bool, error) {
+		if ck == nil {
+			return false, nil
+		}
+		ok := ck.next()
+		return ok, ck.err
+	}
+	haveC, err := nextC()
+	for err == nil && (haveC || len(ents) > 0) {
+		var k, v []byte
+		del, advC, advV := false, false, false
+		if len(ents) > 0 && (!haveC || bytes.Compare(ents[0].key, ck.key) <= 0) {
+			k, v, del, advV = ents[0].key, ents[0].value, ents[0].del, true
+			advC = haveC && bytes.Equal(k, ck.key)
+		} else {
+			k, v, advC = ck.key, ck.val, true
+		}
+		if end != nil && bytes.Compare(k, end) >= 0 {
+			break
+		}
+		if !del {
+			if err := emit(k, v); err != nil {
+				if err == errStopScan {
+					return nil
+				}
+				return err
+			}
+		}
+		if advV {
+			ents = ents[1:]
+		}
+		if advC {
+			haveC, err = nextC()
+		}
+	}
+	return err
+}
+
+// Sync implements kv.Store: it fsyncs the active segment. A sync failure
+// is fail-stop (see ErrDBFailed) — the kernel may drop dirty pages after
 // reporting it, so retrying could silently lose acknowledged writes.
 func (d *DB) Sync() error {
 	d.writeMu.Lock()
@@ -631,55 +599,49 @@ func (d *DB) Sync() error {
 	if err := d.checkWrite(); err != nil {
 		return err
 	}
-	d.mu.RLock()
-	w := d.wal
-	d.mu.RUnlock()
-	if err := w.sync(); err != nil {
+	if err := d.wal.sync(); err != nil {
 		return d.fail(err)
 	}
 	return nil
 }
 
-// Close implements kv.Store. It does NOT flush the memtable: unflushed but
-// WAL-durable writes are recovered on the next Open, which is exactly the
+// Close implements kv.Store. It waits for a fold in flight but does not
+// fold: the live log is replayed by the next Open, which is exactly the
 // crash-consistency path and keeps Close cheap.
 func (d *DB) Close() error {
 	d.writeMu.Lock()
 	defer d.writeMu.Unlock()
+	d.waitFold()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return kv.ErrClosed
 	}
 	d.closed = true
-	d.wal.close()
-	d.manifest.close()
-	d.cur.unref()
-	d.cur = newVersion() // keep pointer valid for stragglers
-	return nil
+	d.view = nil
+	d.closeCkpt()
+	return d.wal.close()
 }
 
 // Stats reports operational counters for tooling and tests.
 type Stats struct {
-	Flushes     int
+	// Flushes counts completed folds (background and Flush).
+	Flushes int
+	// Compactions is always 0: the fold is the only merge. It is kept for
+	// tools that report it.
 	Compactions int
-	LevelFiles  [numLevels]int
-	LevelBytes  [numLevels]uint64
-	MemBytes    int
-	MemKeys     int
-	// BlockCacheHits / BlockCacheMisses count point-lookup block fetches
-	// served from / missed by the shared block cache.
-	BlockCacheHits   uint64
-	BlockCacheMisses uint64
-	// BlockCacheBlocks is the current number of cached blocks.
-	BlockCacheBlocks int
-	// WALRecordsRecovered counts the durable WAL records replayed into
-	// the memtable by this Open; WALTornTails counts logs whose final
-	// record was torn (a crash mid-append — the partial record was never
-	// acknowledged durable and is discarded, which is the expected
-	// crash-recovery shape, surfaced here so operators can tell it apart
-	// from silence). Mid-file corruption is NOT a counter: it fails the
-	// Open (see lsmtool wal-dump --skip-corrupt for salvage).
+	// CheckpointBytes is the size of the live checkpoint file.
+	CheckpointBytes int64
+	// LiveLogBytes and LiveSegments describe the log not yet folded.
+	LiveLogBytes int64
+	LiveSegments int
+	// WALRecordsRecovered counts the durable WAL records replayed by this
+	// Open; WALTornTails counts segments whose final record was torn (a
+	// crash mid-append — the partial record was never acknowledged
+	// durable and is discarded, which is the expected crash-recovery
+	// shape, surfaced here so operators can tell it apart from silence).
+	// Mid-segment corruption is NOT a counter: it fails the Open (see
+	// lsmtool wal-dump --skip-corrupt for salvage).
 	WALRecordsRecovered int
 	WALTornTails        int
 }
@@ -689,18 +651,109 @@ func (d *DB) Stats() Stats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	s := Stats{
-		Flushes:             d.flushes,
-		Compactions:         d.compactions,
-		MemBytes:            d.mem.approximateBytes(),
-		MemKeys:             d.mem.len(),
+		Flushes:             d.folds,
+		LiveSegments:        len(d.segs),
 		WALRecordsRecovered: d.walRecovered,
 		WALTornTails:        d.walTornTails,
 	}
-	s.BlockCacheHits, s.BlockCacheMisses = d.cache.stats()
-	s.BlockCacheBlocks = d.cache.len()
-	for l, level := range d.cur.levels {
-		s.LevelFiles[l] = len(level)
-		s.LevelBytes[l] = d.cur.levelBytes(l)
+	if d.ckpt != nil {
+		s.CheckpointBytes = d.ckpt.size
+	}
+	for _, seg := range d.segs {
+		s.LiveLogBytes += seg.size
 	}
 	return s
+}
+
+// viewEntry is the newest operation on one key in the live log.
+type viewEntry struct {
+	key, value []byte
+	del        bool
+}
+
+// liveView is the live log decoded into one sorted entry per key. Its
+// entries alias the segment bytes it read.
+type liveView struct {
+	entries []viewEntry
+}
+
+// liveViewLocked returns the view of the live segments, decoding it if
+// the last Apply dropped it. Caller holds mu shared or exclusive.
+func (d *DB) liveViewLocked() (*liveView, error) {
+	d.viewMu.Lock()
+	defer d.viewMu.Unlock()
+	if d.view == nil {
+		v, err := buildView(d.dir, d.segs)
+		if err != nil {
+			return nil, err
+		}
+		d.view = v
+	}
+	return d.view, nil
+}
+
+// buildView decodes segs in order into a liveView: entries sorted by key,
+// the last operation on each key winning.
+func buildView(dir string, segs []segment) (*liveView, error) {
+	var ents []viewEntry
+	// The log rewrites hot keys many times over; keeping only the newest
+	// operation per key while decoding sorts each key once (on a Zipf
+	// log, several times faster than sorting every operation).
+	last := map[string]int{}
+	for _, s := range segs {
+		if s.size == 0 {
+			continue
+		}
+		data, err := readSegment(dir, s)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := replaySegment(data, func(ops []kv.Op) error {
+			for _, op := range ops {
+				e := viewEntry{key: op.Key, value: op.Value, del: op.Kind == kv.OpDelete}
+				if i, ok := last[string(op.Key)]; ok {
+					ents[i] = e
+					continue
+				}
+				last[string(op.Key)] = len(ents)
+				ents = append(ents, e)
+			}
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("lsm: read wal %06d: %w", s.num, err)
+		}
+	}
+	slices.SortFunc(ents, func(a, b viewEntry) int { return bytes.Compare(a.key, b.key) })
+	return &liveView{entries: ents}, nil
+}
+
+// readSegment reads the first s.size bytes of a segment: an append past
+// them may be in progress.
+func readSegment(dir string, s segment) ([]byte, error) {
+	f, err := os.Open(walPath(dir, s.num))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, s.size)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return nil, fmt.Errorf("lsm: read wal %06d: %w", s.num, err)
+	}
+	return data, nil
+}
+
+// search returns the index of the first entry with key >= start.
+func (v *liveView) search(start []byte) int {
+	if start == nil {
+		return 0
+	}
+	return sort.Search(len(v.entries), func(i int) bool { return bytes.Compare(v.entries[i].key, start) >= 0 })
+}
+
+// find returns the entry for key, if the live log has one.
+func (v *liveView) find(key []byte) (viewEntry, bool) {
+	if i := v.search(key); i < len(v.entries) && bytes.Equal(v.entries[i].key, key) {
+		return v.entries[i], true
+	}
+	return viewEntry{}, false
 }

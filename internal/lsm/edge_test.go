@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ func TestEmptyAndLargeValues(t *testing.T) {
 	if err != nil || !ok || len(v) != 0 {
 		t.Fatalf("empty value: %v %v %v", v, ok, err)
 	}
-	big := bytes.Repeat([]byte("x"), 1<<20) // 1 MiB value, spans many blocks
+	big := bytes.Repeat([]byte("x"), 1<<20) // 1 MiB value, larger than a block
 	if err := d.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +33,15 @@ func TestEmptyAndLargeValues(t *testing.T) {
 	if err != nil || !ok || !bytes.Equal(got, big) {
 		t.Fatalf("big value corrupted: len=%d ok=%v err=%v", len(got), ok, err)
 	}
+	if v, ok, err := d.Get([]byte("empty")); err != nil || !ok || len(v) != 0 {
+		t.Fatalf("empty value after fold: %v %v %v", v, ok, err)
+	}
 }
 
 func TestBinaryKeys(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := smallDB(t)
 	keys := [][]byte{
+		{},
 		{0},
 		{0, 0},
 		{0, 1},
@@ -49,36 +54,43 @@ func TestBinaryKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	check := func(when string) {
+		for i, k := range keys {
+			v, ok, err := d.Get(k)
+			if err != nil || !ok || v[0] != byte(i) {
+				t.Fatalf("%s: binary key %x: %v %v %v", when, k, v, ok, err)
+			}
+		}
+		var got [][]byte
+		if err := d.Scan(nil, nil, func(k, _ []byte) bool {
+			got = append(got, bytes.Clone(k))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(keys) {
+			t.Fatalf("%s: scanned %d keys, want %d", when, len(got), len(keys))
+		}
+		for i := 1; i < len(got); i++ {
+			if bytes.Compare(got[i-1], got[i]) >= 0 {
+				t.Fatalf("%s: binary keys out of order: %x then %x", when, got[i-1], got[i])
+			}
+		}
+	}
+	check("live log")
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
-		v, ok, err := d.Get(k)
-		if err != nil || !ok || v[0] != byte(i) {
-			t.Fatalf("binary key %x: %v %v %v", k, v, ok, err)
-		}
-	}
-	var got [][]byte
-	if err := d.Scan(nil, nil, func(k, _ []byte) bool {
-		got = append(got, append([]byte(nil), k...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		if bytes.Compare(got[i-1], got[i]) >= 0 {
-			t.Fatalf("binary keys out of order: %x then %x", got[i-1], got[i])
-		}
-	}
+	check("checkpoint")
 }
 
-func TestManifestRotationOnReopen(t *testing.T) {
+// TestReopenCyclesLeaveOneCheckpoint: open/write/close cycles with
+// background folds leave one CURRENT, at most one checkpoint, no temp
+// files and no folded segments, and lose nothing.
+func TestReopenCyclesLeaveOneCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	for round := 0; round < 4; round++ {
-		d, err := Open(dir, smallOpts())
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		d := openSmall(t, dir)
 		for i := 0; i < 300; i++ {
 			if err := d.Put([]byte(fmt.Sprintf("r%d-k%03d", round, i)), []byte("v")); err != nil {
 				t.Fatal(err)
@@ -87,16 +99,24 @@ func TestManifestRotationOnReopen(t *testing.T) {
 		if err := d.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// Exactly one manifest and one CURRENT must remain.
-		_, _, manifests, err := listFiles(dir)
+		files, err := listDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(manifests) != 1 {
-			t.Fatalf("round %d: %d manifests on disk", round, len(manifests))
+		ckNum, ok, err := readCurrent(dir)
+		if err != nil || !ok {
+			t.Fatalf("round %d: CURRENT %v %v", round, ok, err)
+		}
+		if len(files.ckpts) != 1 || files.ckpts[0] != ckNum || len(files.temps) != 0 {
+			t.Fatalf("round %d: files %+v with CURRENT %d", round, files, ckNum)
+		}
+		for _, num := range files.wals {
+			if num <= ckNum {
+				t.Fatalf("round %d: folded segment %d left behind", round, num)
+			}
 		}
 	}
-	d, err := Open(dir, smallOpts())
+	d, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +135,20 @@ func TestCurrentFileCorruption(t *testing.T) {
 	}
 	d.Put([]byte("k"), []byte("v"))
 	d.Close()
-	if err := os.WriteFile(currentPath(dir), []byte("GARBAGE\n"), 0o644); err != nil {
+	current := filepath.Join(dir, currentName)
+	if err := os.WriteFile(current, []byte("GARBAGE\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt CURRENT accepted")
+	}
+	// A store whose CURRENT is gone must not be reinitialized over its
+	// log: that would drop a checkpoint silently.
+	if err := os.Remove(current); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{}); err == nil {
+		t.Fatal("store files without CURRENT accepted")
 	}
 }
 
@@ -131,14 +160,17 @@ func TestOrphanFilesCleanedOnOpen(t *testing.T) {
 	}
 	d.Put([]byte("k"), []byte("v"))
 	d.Flush()
+	ckNum := d.ckpt.num
 	d.Close()
-	// Drop an orphan SSTable and WAL that no manifest references.
-	orphanSST := sstPath(dir, 999999)
-	if err := os.WriteFile(orphanSST, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
+	// Leftovers of interrupted folds: a temp checkpoint, a temp CURRENT,
+	// a checkpoint CURRENT does not name and a segment it has folded.
+	orphans := []string{ckptName(999999) + tmpSuffix, currentName + tmpSuffix, ckptName(999998), walName(ckNum - 1)}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	orphanWAL := walPath(dir, 999998)
-	if err := os.WriteFile(orphanWAL, []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "NOTES"), []byte("mine"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d2, err := Open(dir, Options{})
@@ -146,70 +178,60 @@ func TestOrphanFilesCleanedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if _, err := os.Stat(orphanSST); !os.IsNotExist(err) {
-		t.Fatal("orphan sstable survived open")
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("orphan %s survived open", name)
+		}
 	}
-	if _, err := os.Stat(orphanWAL); !os.IsNotExist(err) {
-		t.Fatal("orphan wal survived open")
+	if _, err := os.Stat(filepath.Join(dir, "NOTES")); err != nil {
+		t.Fatal("open removed a file that is not the store's")
 	}
 	if v, ok, _ := d2.Get([]byte("k")); !ok || string(v) != "v" {
 		t.Fatal("cleanup destroyed live data")
 	}
 }
 
-// TestPropertyIteratorSeek: table iterator seek agrees with a sorted
-// reference for random key sets and probes.
+// TestPropertyIteratorSeek: checkpoint iterator seek agrees with a
+// sorted reference for random key sets and probes.
 func TestPropertyIteratorSeek(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		path := filepath.Join(t.TempDir(), "t.sst")
-		b, err := newTableBuilder(path, 128)
-		if err != nil {
-			return false
-		}
-		n := rng.Intn(200) + 1
-		keys := make([]string, 0, n)
+		dir := t.TempDir()
+		n := rng.Intn(2000) + 1
 		seen := map[string]bool{}
+		var keys []string
 		for len(keys) < n {
-			k := fmt.Sprintf("key-%04d", rng.Intn(5000))
+			k := fmt.Sprintf("key-%05d", rng.Intn(50000))
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
 			}
 		}
-		sortStrings(keys)
-		for _, k := range keys {
-			b.add([]byte(k), []byte("v"), kindPut)
+		sort.Strings(keys)
+		pairs := make([][2]string, len(keys))
+		for i, k := range keys {
+			pairs[i] = [2]string{k, "v"}
 		}
-		if _, _, _, _, err := b.finish(); err != nil {
-			return false
-		}
-		r, err := openTable(path, 0, nil)
+		writeCheckpointFile(t, dir, 1, pairs)
+		c, err := openCheckpoint(dir, 1)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-		defer r.close()
-		it := r.iterator()
+		defer c.close()
 		for probe := 0; probe < 30; probe++ {
-			target := fmt.Sprintf("key-%04d", rng.Intn(5200))
-			it.seek([]byte(target))
-			// Reference: first key >= target.
-			var want string
-			for _, k := range keys {
-				if k >= target {
-					want = k
-					break
-				}
-			}
-			if want == "" {
+			target := fmt.Sprintf("key-%05d", rng.Intn(52000))
+			it := c.iter([]byte(target), nil)
+			i := sort.SearchStrings(keys, target)
+			if i == len(keys) {
 				if it.next() {
-					t.Logf("seek(%q) found %q, want exhausted", target, it.key())
+					t.Logf("seek(%q) found %q, want exhausted", target, it.key)
 					return false
 				}
 				continue
 			}
-			if !it.next() || string(it.key()) != want {
-				t.Logf("seek(%q) -> %q, want %q", target, it.key(), want)
+			if !it.next() || string(it.key) != keys[i] {
+				t.Logf("seek(%q) -> %q, want %q", target, it.key, keys[i])
 				return false
 			}
 		}
@@ -220,24 +242,17 @@ func TestPropertyIteratorSeek(t *testing.T) {
 	}
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// TestDeleteHeavyCompaction: tombstones dominate and must be dropped at
-// the bottom level, shrinking the store.
+// TestDeleteHeavyCompaction: the fold drops tombstones together with
+// the values they delete, so a fully deleted store folds to an empty
+// checkpoint.
 func TestDeleteHeavyCompaction(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := testDB(t, Options{})
 	for i := 0; i < 2000; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), bytes.Repeat([]byte("v"), 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Compact(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
@@ -245,21 +260,15 @@ func TestDeleteHeavyCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Compact(); err != nil {
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	n, err := kv.Len(d)
 	if err != nil || n != 0 {
-		t.Fatalf("store not empty after delete+compact: %d, %v", n, err)
+		t.Fatalf("store not empty after delete+fold: %d, %v", n, err)
 	}
-	st := d.Stats()
-	var total uint64
-	for _, b := range st.LevelBytes {
-		total += b
-	}
-	// A couple of nearly-empty tables may remain but the bulk must be gone.
-	if total > 64<<10 {
-		t.Fatalf("tombstones not reclaimed: %d bytes on disk", total)
+	if st := d.Stats(); st.CheckpointBytes > 64 || st.LiveLogBytes != 0 {
+		t.Fatalf("tombstones not reclaimed: %+v", st)
 	}
 }
 

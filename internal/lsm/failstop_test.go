@@ -2,9 +2,12 @@ package lsm
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"sistream/internal/kv"
 )
@@ -22,13 +25,13 @@ func TestWALWriterStickyError(t *testing.T) {
 	if err := w.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	first := w.append([]byte("payload"), true)
+	_, first := w.appendBatch(nil, true)
 	if first == nil {
 		t.Fatal("append on closed fd succeeded")
 	}
 	// Sticky: subsequent appends and syncs return the SAME error without
 	// touching the file.
-	if err := w.append([]byte("more"), false); !errors.Is(err, first) && err.Error() != first.Error() {
+	if _, err := w.appendBatch(nil, false); !errors.Is(err, first) && err.Error() != first.Error() {
 		t.Fatalf("second append = %v, want the latched %v", err, first)
 	}
 	if err := w.sync(); err == nil || err.Error() != first.Error() {
@@ -46,7 +49,7 @@ func TestWALWriterStickySyncError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append([]byte("ok"), false); err != nil {
+	if _, err := w.appendBatch(nil, false); err != nil {
 		t.Fatal(err)
 	}
 	// Swap the fd for a read-only one: writes hit EBADF, and so does
@@ -58,7 +61,7 @@ func TestWALWriterStickySyncError(t *testing.T) {
 	}
 	defer ro.Close()
 	w.f = ro
-	first := w.append([]byte("doomed"), true)
+	_, first := w.appendBatch(nil, true)
 	if first == nil {
 		t.Fatal("append through read-only fd succeeded")
 	}
@@ -85,9 +88,9 @@ func TestDBFailStopOnWALError(t *testing.T) {
 	}
 	// Kill the WAL fd underneath the DB: the next write must fail and
 	// enter the sticky failed state.
-	d.mu.Lock()
+	d.writeMu.Lock()
 	d.wal.f.Close()
-	d.mu.Unlock()
+	d.writeMu.Unlock()
 
 	first := d.Put([]byte("k2"), []byte("v2"))
 	if first == nil {
@@ -109,9 +112,6 @@ func TestDBFailStopOnWALError(t *testing.T) {
 	}
 	if err := d.Flush(); !errors.Is(err, ErrDBFailed) {
 		t.Fatalf("Flush on failed DB = %v, want ErrDBFailed", err)
-	}
-	if err := d.Compact(); !errors.Is(err, ErrDBFailed) {
-		t.Fatalf("Compact on failed DB = %v, want ErrDBFailed", err)
 	}
 
 	// Graceful degradation: reads still serve the pre-failure state.
@@ -168,5 +168,155 @@ func TestDBFailStopViaFaultStore(t *testing.T) {
 	}
 	if v, ok, _ := re.Get([]byte("a")); !ok || string(v) != "1" {
 		t.Fatalf("synced write lost: %q %v", v, ok)
+	}
+}
+
+// TestDBFailStopOnFoldError: a fold that fails on I/O — here the temp
+// checkpoint cannot be created — latches ErrDBFailed, whether the fold
+// runs inside Flush or in the background. Writes are refused from then
+// on; reads keep serving every acknowledged write from the old
+// checkpoint and the log, which the failed fold left in place, and a
+// reopen recovers all of it.
+func TestDBFailStopOnFoldError(t *testing.T) {
+	for _, background := range []bool{false, true} {
+		t.Run(fmt.Sprintf("background=%t", background), func(t *testing.T) {
+			dir := t.TempDir()
+			d := openSmall(t, dir)
+			defer d.Close()
+			want := map[string]string{}
+			put := func(i int) error {
+				k, v := fmt.Sprintf("k%04d", i), fmt.Sprintf("v%d", i)
+				err := d.Put([]byte(k), []byte(v))
+				if err == nil {
+					want[k] = v
+				}
+				return err
+			}
+			for i := 0; i < 10; i++ {
+				if err := put(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// The next fold's temp checkpoint path is taken by a directory.
+			d.writeMu.Lock()
+			blocked := ckptPath(dir, d.nextNum) + tmpSuffix
+			d.writeMu.Unlock()
+			if err := os.Mkdir(blocked, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(blocked, "x"), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if background {
+				// Write past the threshold; the fold fails beside the
+				// writer and the first write after it is refused.
+				var err error
+				for i := 10; err == nil; i++ {
+					if i > 10_000 {
+						t.Fatal("background fold never failed")
+					}
+					err = put(i)
+					waitFolds(d)
+				}
+				if !errors.Is(err, ErrDBFailed) {
+					t.Fatalf("write after failed fold = %v, want ErrDBFailed", err)
+				}
+			} else {
+				if err := put(10); err != nil {
+					t.Fatal(err)
+				}
+				err := d.Flush()
+				if err == nil || errors.Is(err, ErrDBFailed) {
+					t.Fatalf("Flush = %v, want the raw fold error", err)
+				}
+			}
+			if err := d.Err(); !errors.Is(err, ErrDBFailed) {
+				t.Fatalf("Err() = %v, want ErrDBFailed", err)
+			}
+			if err := d.Put([]byte("late"), []byte("x")); !errors.Is(err, ErrDBFailed) {
+				t.Fatalf("Put after fold failure = %v, want ErrDBFailed", err)
+			}
+			if err := d.Flush(); !errors.Is(err, ErrDBFailed) {
+				t.Fatalf("Flush after fold failure = %v, want ErrDBFailed", err)
+			}
+			expectAll(t, d, want)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(blocked); err != nil {
+				t.Fatal(err)
+			}
+			d2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			expectAll(t, d2, want)
+		})
+	}
+}
+
+// TestFoldWaitsOnCloseAndFlush: Close and Flush wait for a background
+// fold in flight, and no goroutine outlives Close.
+func TestFoldWaitsOnCloseAndFlush(t *testing.T) {
+	for _, op := range []string{"Close", "Flush"} {
+		t.Run(op, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			d := openSmall(t, t.TempDir())
+			started, release := make(chan struct{}), make(chan struct{})
+			d.foldHook = func(s foldStage) error {
+				if s == foldTempWritten {
+					close(started)
+					<-release
+				}
+				return nil
+			}
+			for i := 0; ; i++ {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), []byte("value")); err != nil {
+					t.Fatal(err)
+				}
+				d.writeMu.Lock()
+				folding := d.foldDone != nil
+				d.writeMu.Unlock()
+				if folding {
+					break
+				}
+			}
+			<-started
+			done := make(chan error, 1)
+			go func() {
+				if op == "Close" {
+					done <- d.Close()
+				} else {
+					done <- d.Flush()
+				}
+			}()
+			select {
+			case err := <-done:
+				t.Fatalf("%s returned (%v) with a fold in flight", op, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			d.foldHook = nil
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			// The fold sealed the only segment with data, so Flush has
+			// nothing left to fold after waiting for it.
+			if st := d.Stats(); st.Flushes != 1 {
+				t.Fatalf("folds after %s = %d", op, st.Flushes)
+			}
+			d.Close()
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before, %d after Close", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -23,17 +24,41 @@ func testDB(t *testing.T, opts Options) *DB {
 	return d
 }
 
-// smallOpts force frequent flushes and compactions so tests exercise the
-// whole write path with little data.
-func smallOpts() Options {
-	return Options{
-		MemtableBytes:       4 << 10,
-		BlockBytes:          512,
-		L0CompactionTrigger: 2,
-		BaseLevelBytes:      16 << 10,
-		LevelMultiplier:     4,
-		MaxOutputBytes:      8 << 10,
+// smallFoldBytes replaces the 4 MiB fold minimum in tests that want
+// frequent background folds with little data.
+const smallFoldBytes = 4 << 10
+
+// openSmall opens dir with the small fold threshold.
+func openSmall(t *testing.T, dir string) *DB {
+	t.Helper()
+	d, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	d.foldMin = smallFoldBytes
+	return d
+}
+
+// smallDB is a test DB in a fresh directory with the small threshold.
+func smallDB(t *testing.T) *DB {
+	t.Helper()
+	d := openSmall(t, t.TempDir())
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// waitFolds waits for the background fold in flight, if any.
+func waitFolds(d *DB) {
+	d.writeMu.Lock()
+	d.waitFold()
+	d.writeMu.Unlock()
+}
+
+// activeWAL returns the path of the segment Apply appends to.
+func activeWAL(d *DB) string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return walPath(d.dir, d.segs[len(d.segs)-1].num)
 }
 
 func TestBasicCRUD(t *testing.T) {
@@ -63,7 +88,7 @@ func TestBasicCRUD(t *testing.T) {
 }
 
 func TestGetAfterFlush(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := smallDB(t)
 	for i := 0; i < 500; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%d", i))); err != nil {
 			t.Fatal(err)
@@ -72,8 +97,8 @@ func TestGetAfterFlush(t *testing.T) {
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := d.Stats(); st.Flushes == 0 {
-		t.Fatal("expected at least one flush")
+	if st := d.Stats(); st.Flushes == 0 || st.LiveLogBytes != 0 {
+		t.Fatalf("expected the log folded away: %+v", st)
 	}
 	for i := 0; i < 500; i++ {
 		v, ok, err := d.Get([]byte(fmt.Sprintf("key-%04d", i)))
@@ -84,7 +109,7 @@ func TestGetAfterFlush(t *testing.T) {
 }
 
 func TestDeleteShadowsFlushedValue(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := testDB(t, Options{})
 	if err := d.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +119,18 @@ func TestDeleteShadowsFlushedValue(t *testing.T) {
 	if err := d.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	// Tombstone in memtable must shadow the SSTable value.
+	// A tombstone in the live log must shadow the checkpoint's value.
 	if _, ok, _ := d.Get([]byte("k")); ok {
-		t.Fatal("tombstone did not shadow table value")
+		t.Fatal("tombstone did not shadow checkpoint value")
 	}
-	if err := d.Flush(); err != nil { // tombstone flushed to its own table
+	if err := d.Flush(); err != nil { // the fold drops key and tombstone
 		t.Fatal(err)
 	}
 	if _, ok, _ := d.Get([]byte("k")); ok {
-		t.Fatal("tombstone in L0 did not shadow older table")
+		t.Fatal("folded tombstone resurrected the value")
+	}
+	if st := d.Stats(); st.Flushes != 2 {
+		t.Fatalf("folds = %d, want 2", st.Flushes)
 	}
 }
 
@@ -118,8 +146,8 @@ func TestReopenRecoversWAL(t *testing.T) {
 	if err := d.Apply(b, true); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash: no Close, no flush. The WAL holds the data.
-	d.wal.f.Close() // release the handle so reopen's cleanup can proceed on all platforms
+	// Simulate a crash: no Close, no fold. The WAL holds the data.
+	d.wal.f.Close()
 
 	d2, err := Open(dir, Options{})
 	if err != nil {
@@ -179,7 +207,7 @@ func TestTornWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	walFile := walPath(dir, d.walNum)
+	walFile := activeWAL(d)
 	d.wal.f.Sync()
 	d.wal.f.Close()
 
@@ -195,7 +223,6 @@ func TestTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
 	// First 9 records must be intact; the torn 10th is discarded.
 	for i := 0; i < 9; i++ {
 		if _, ok, _ := d2.Get([]byte(fmt.Sprintf("k%d", i))); !ok {
@@ -204,6 +231,25 @@ func TestTornWALTail(t *testing.T) {
 	}
 	if _, ok, _ := d2.Get([]byte("k9")); ok {
 		t.Fatal("torn record resurrected")
+	}
+	// Open cut the torn record off, so appends after it stay readable
+	// and the next recovery sees a clean log.
+	if err := d2.Put([]byte("after"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if _, ok, _ := d3.Get([]byte("after")); !ok {
+		t.Fatal("append after a torn tail lost")
+	}
+	if st := d3.Stats(); st.WALTornTails != 0 || st.WALRecordsRecovered != 10 {
+		t.Fatalf("second recovery: %+v, want 10 records and no torn tail", st)
 	}
 }
 
@@ -218,7 +264,7 @@ func TestCorruptWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	walFile := walPath(dir, d.walNum)
+	walFile := activeWAL(d)
 	d.wal.f.Sync()
 	d.wal.f.Close()
 	// Flip a payload byte in the final record.
@@ -245,8 +291,11 @@ func TestCorruptWALTail(t *testing.T) {
 	}
 }
 
-func TestCompactionReducesL0(t *testing.T) {
-	d := testDB(t, smallOpts())
+// TestFoldRetiresSealedSegments: background folds keep the live log
+// bounded by the threshold, and a final Flush leaves exactly one
+// checkpoint and one empty segment on disk.
+func TestFoldRetiresSealedSegments(t *testing.T) {
+	d := smallDB(t)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 5000; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", rng.Intn(2000)))
@@ -254,17 +303,30 @@ func TestCompactionReducesL0(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Compact(); err != nil {
+	waitFolds(d)
+	st := d.Stats()
+	if st.Flushes < 2 {
+		t.Fatalf("expected background folds, got %d", st.Flushes)
+	}
+	// One fold at a time: the log outgrows the threshold by at most what
+	// arrives while a fold runs, and every fold retires its segments.
+	if st.LiveSegments > 2 {
+		t.Fatalf("%d live segments after folds", st.LiveSegments)
+	}
+	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := d.Stats()
-	if st.Compactions == 0 {
-		t.Fatal("expected compactions to run")
+	st = d.Stats()
+	if st.LiveSegments != 1 || st.LiveLogBytes != 0 || st.Compactions != 0 {
+		t.Fatalf("after flush: %+v", st)
 	}
-	if st.LevelFiles[0] >= smallOpts().L0CompactionTrigger {
-		t.Fatalf("L0 still has %d files after compaction", st.LevelFiles[0])
+	files, err := listDir(d.dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// All data still readable.
+	if len(files.ckpts) != 1 || len(files.wals) != 1 || len(files.temps) != 0 {
+		t.Fatalf("files after flush: %+v", files)
+	}
 	n, err := kv.Len(d)
 	if err != nil {
 		t.Fatal(err)
@@ -274,42 +336,28 @@ func TestCompactionReducesL0(t *testing.T) {
 	}
 }
 
-func TestLevel1KeyRangesDisjoint(t *testing.T) {
-	d := testDB(t, smallOpts())
-	for i := 0; i < 8000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key-%06d", i)), bytes.Repeat([]byte("v"), 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	for l := 1; l < numLevels; l++ {
-		files := d.cur.levels[l]
-		for i := 1; i < len(files); i++ {
-			if bytes.Compare(files[i-1].largest, files[i].smallest) >= 0 {
-				t.Fatalf("level %d files overlap: %q >= %q", l, files[i-1].largest, files[i].smallest)
-			}
-		}
-	}
-}
-
+// TestScanMergedAcrossLevels: a scan merges the two levels — the
+// checkpoint and the live log — with the log's newer values and
+// tombstones shadowing the checkpoint.
 func TestScanMergedAcrossLevels(t *testing.T) {
-	d := testDB(t, smallOpts())
-	// Three generations of the same key range to exercise shadowing.
+	d := testDB(t, Options{})
+	// Three generations of the same key range: two folded, one live.
 	for gen := 0; gen < 3; gen++ {
 		for i := 0; i < 300; i++ {
 			if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), []byte(fmt.Sprintf("g%d", gen))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := d.Flush(); err != nil {
-			t.Fatal(err)
+		if gen < 2 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := d.Delete([]byte("k0000")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put([]byte("k0003a"), []byte("g2")); err != nil { // log-only key
 		t.Fatal(err)
 	}
 	var keys []string
@@ -323,14 +371,9 @@ func TestScanMergedAcrossLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 9 // k0001..k0009 (k0000 deleted)
-	if len(keys) != want {
-		t.Fatalf("scan returned %d keys (%v), want %d", len(keys), keys, want)
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("scan out of order: %q then %q", keys[i-1], keys[i])
-		}
+	want := "[k0001 k0002 k0003 k0003a k0004 k0005 k0006 k0007 k0008 k0009]"
+	if fmt.Sprint(keys) != want {
+		t.Fatalf("scan returned %v, want %s", keys, want)
 	}
 }
 
@@ -340,13 +383,20 @@ func TestScanEarlyStop(t *testing.T) {
 		if err := d.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+		if i == 9 {
+			if err := d.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	n := 0
-	if err := d.Scan(nil, nil, func(_, _ []byte) bool { n++; return n < 5 }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 5 {
-		t.Fatalf("visited %d", n)
+	for _, stop := range []int{5, 15} { // inside the checkpoint, inside the log
+		n := 0
+		if err := d.Scan(nil, nil, func(_, _ []byte) bool { n++; return n < stop }); err != nil {
+			t.Fatal(err)
+		}
+		if n != stop {
+			t.Fatalf("stop at %d visited %d", stop, n)
+		}
 	}
 }
 
@@ -373,10 +423,13 @@ func TestClosedErrors(t *testing.T) {
 	if err := d.Sync(); err != kv.ErrClosed {
 		t.Fatalf("sync: %v", err)
 	}
+	if err := d.Flush(); err != kv.ErrClosed {
+		t.Fatalf("flush: %v", err)
+	}
 }
 
 func TestConcurrentReadersOneWriter(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := smallDB(t)
 	for i := 0; i < 1000; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("init")); err != nil {
 			t.Fatal(err)
@@ -396,8 +449,8 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 				default:
 				}
 				k := []byte(fmt.Sprintf("k%04d", rng.Intn(1000)))
-				if _, _, err := d.Get(k); err != nil {
-					t.Error(err)
+				if _, ok, err := d.Get(k); err != nil || !ok {
+					t.Errorf("get %s: %v %v", k, ok, err)
 					return
 				}
 			}
@@ -411,322 +464,293 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if d.Stats().Flushes == 0 {
+		t.Fatal("no fold ran beside the readers")
+	}
+}
+
+// checkModel compares the DB with the model through every read path:
+// Get of every model key and of absent keys, a full scan (contents and
+// order), a bounded scan and an early stop.
+func checkModel(d *DB, model map[string]string) error {
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		got, ok, err := d.Get([]byte(k))
+		if err != nil || !ok || string(got) != model[k] {
+			return fmt.Errorf("Get(%q) = %q/%v/%v, want %q", k, got, ok, err, model[k])
+		}
+	}
+	for _, k := range []string{"", "absent", "key-", "key-999"} {
+		if _, ok, err := d.Get([]byte(k)); err != nil || ok != (model[k] != "") {
+			return fmt.Errorf("Get(%q) = %v/%v, want %v", k, ok, err, model[k] != "")
+		}
+	}
+	scan := func(start, end []byte, limit int) ([]string, error) {
+		var got []string
+		err := d.Scan(start, end, func(k, v []byte) bool {
+			if model[string(k)] != string(v) {
+				got = append(got, "BAD:"+string(k))
+			}
+			got = append(got, string(k))
+			return limit == 0 || len(got) < limit
+		})
+		return got, err
+	}
+	got, err := scan(nil, nil, 0)
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(keys) {
+		return fmt.Errorf("full scan = %v/%v, want %v", got, err, keys)
+	}
+	lo, hi := "key-010", "key-040"
+	var want []string
+	for _, k := range keys {
+		if k >= lo && k < hi {
+			want = append(want, k)
+		}
+	}
+	if got, err = scan([]byte(lo), []byte(hi), 0); err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+		return fmt.Errorf("scan [%s,%s) = %v/%v, want %v", lo, hi, got, err, want)
+	}
+	if len(keys) >= 3 {
+		if got, err = scan(nil, nil, 3); err != nil || fmt.Sprint(got) != fmt.Sprint(keys[:3]) {
+			return fmt.Errorf("early stop = %v/%v, want %v", got, err, keys[:3])
+		}
+	}
+	return nil
+}
+
+// randomOps applies n random puts and deletes to d and the model.
+func randomOps(d *DB, model map[string]string, rng *rand.Rand, n int) error {
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key-%03d", rng.Intn(60))
+		if rng.Intn(3) == 0 {
+			delete(model, k)
+			if err := d.Delete([]byte(k)); err != nil {
+				return err
+			}
+			continue
+		}
+		v := fmt.Sprintf("v-%d", rng.Int())
+		model[k] = v
+		if err := d.Put([]byte(k), []byte(v)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // TestPropertyDBMatchesModel runs random operation sequences against the
-// DB and an in-memory model, with periodic flush/compact/reopen, and
-// verifies full agreement.
+// DB and an in-memory model and checks every read path before the first
+// fold, after a fold forced by Flush, with writes on top of the
+// checkpoint, and after reopen. The "threshold" case crosses the real
+// 4 MiB fold threshold instead of calling Flush.
 func TestPropertyDBMatchesModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
-		d, err := Open(dir, smallOpts())
+		d, err := Open(dir, Options{})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
+		defer func() { d.Close() }()
 		model := map[string]string{}
-		for step := 0; step < 400; step++ {
-			k := fmt.Sprintf("key-%03d", rng.Intn(60))
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
-				v := fmt.Sprintf("v-%d", rng.Int())
-				if err := d.Put([]byte(k), []byte(v)); err != nil {
-					t.Log(err)
-					return false
-				}
-				model[k] = v
-			case 4, 5:
-				if err := d.Delete([]byte(k)); err != nil {
-					t.Log(err)
-					return false
-				}
-				delete(model, k)
-			case 6:
-				if err := d.Flush(); err != nil {
-					t.Log(err)
-					return false
-				}
-			case 7:
-				if rng.Intn(4) == 0 {
-					if err := d.Close(); err != nil {
-						t.Log(err)
-						return false
-					}
-					if d, err = Open(dir, smallOpts()); err != nil {
-						t.Log(err)
-						return false
-					}
-				}
-			default:
-				got, ok, err := d.Get([]byte(k))
-				if err != nil {
-					t.Log(err)
-					return false
-				}
-				want, wok := model[k]
-				if ok != wok || (ok && string(got) != want) {
-					t.Logf("mismatch on %q: got %q/%v want %q/%v", k, got, ok, want, wok)
-					return false
-				}
-			}
-		}
-		// Final full comparison via scan.
-		seen := map[string]string{}
-		err = d.Scan(nil, nil, func(k, v []byte) bool {
-			seen[string(k)] = string(v)
-			return true
-		})
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		d.Close()
-		if len(seen) != len(model) {
-			t.Logf("scan count %d != model %d", len(seen), len(model))
-			return false
-		}
-		for k, v := range model {
-			if seen[k] != v {
-				t.Logf("scan %q = %q, want %q", k, seen[k], v)
+		step := func(name string, folds int, do func() error) bool {
+			if err := do(); err != nil {
+				t.Logf("seed %d %s: %v", seed, name, err)
 				return false
 			}
+			if err := checkModel(d, model); err != nil {
+				t.Logf("seed %d %s: %v", seed, name, err)
+				return false
+			}
+			if got := d.Stats().Flushes; got != folds {
+				t.Logf("seed %d %s: %d folds, want %d", seed, name, got, folds)
+				return false
+			}
+			return true
 		}
-		return true
+		reopen := func() error {
+			if err := d.Close(); err != nil {
+				return err
+			}
+			d, err = Open(dir, Options{})
+			return err
+		}
+		return step("before fold", 0, func() error { return randomOps(d, model, rng, 200) }) &&
+			step("after flush", 1, d.Flush) &&
+			step("log over checkpoint", 1, func() error { return randomOps(d, model, rng, 200) }) &&
+			step("reopen", 0, reopen) &&
+			step("flush after reopen", 1, d.Flush) &&
+			step("reopen after flush", 0, reopen)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
+
+	t.Run("threshold", func(t *testing.T) {
+		dir := t.TempDir()
+		d, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { d.Close() }()
+		rng := rand.New(rand.NewSource(7))
+		model := map[string]string{}
+		if err := randomOps(d, model, rng, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkModel(d, model); err != nil {
+			t.Fatal("before fold:", err)
+		}
+		val := bytes.Repeat([]byte("x"), 1000)
+		for i := 0; d.Stats().Flushes == 0; i++ {
+			if i > 10_000 {
+				t.Fatal("no fold after 10 MB of log")
+			}
+			k := fmt.Sprintf("key-%03d", rng.Intn(60))
+			v := fmt.Sprintf("%d-%s", i, val)
+			model[k] = v
+			if err := d.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			waitFolds(d)
+		}
+		if err := randomOps(d, model, rng, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkModel(d, model); err != nil {
+			t.Fatal("after threshold fold:", err)
+		}
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if d, err = Open(dir, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkModel(d, model); err != nil {
+			t.Fatal("after reopen:", err)
+		}
+	})
 }
 
-func TestBloomFilter(t *testing.T) {
-	var hashes []uint32
-	for i := 0; i < 10000; i++ {
-		hashes = append(hashes, bloomHash([]byte(fmt.Sprintf("key-%d", i))))
+// writeCheckpointFile writes pairs (ascending) as checkpoint num in dir.
+func writeCheckpointFile(t *testing.T, dir string, num uint64, pairs [][2]string) {
+	t.Helper()
+	f, err := os.Create(ckptPath(dir, num))
+	if err != nil {
+		t.Fatal(err)
 	}
-	f := buildBloom(hashes, bloomBitsPerKey)
-	for i := 0; i < 10000; i++ {
-		if !f.mayContain(bloomHash([]byte(fmt.Sprintf("key-%d", i)))) {
-			t.Fatalf("false negative for key-%d", i)
+	defer f.Close()
+	cw := newCkptWriter(f)
+	for _, p := range pairs {
+		if err := cw.add([]byte(p[0]), []byte(p[1])); err != nil {
+			t.Fatal(err)
 		}
 	}
-	fp := 0
-	const probes = 20000
-	for i := 0; i < probes; i++ {
-		if f.mayContain(bloomHash([]byte(fmt.Sprintf("absent-%d", i)))) {
-			fp++
-		}
-	}
-	rate := float64(fp) / probes
-	if rate > 0.03 {
-		t.Fatalf("bloom false-positive rate %.4f too high", rate)
+	if err := cw.finish(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestBloomRoundTrip(t *testing.T) {
-	hashes := []uint32{1, 2, 3, 0xdeadbeef}
-	f := buildBloom(hashes, 10)
-	g := unmarshalBloom(f.marshal())
-	for _, h := range hashes {
-		if !g.mayContain(h) {
-			t.Fatalf("false negative after round trip for %x", h)
-		}
-	}
-	if (bloomFilter{}).mayContain(42) != true {
-		t.Fatal("empty filter must not filter")
-	}
-}
-
+// TestSSTableRoundTrip: the checkpoint's sorted table serves every key by
+// index seek, iterates in order and seeks to the first key >= start.
 func TestSSTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "t.sst")
-	b, err := newTableBuilder(path, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 1000
+	var pairs [][2]string
 	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("key-%05d", i))
-		if i%7 == 0 {
-			b.add(key, nil, kindDelete)
-		} else {
-			b.add(key, []byte(fmt.Sprintf("value-%d", i)), kindPut)
-		}
+		pairs = append(pairs, [2]string{fmt.Sprintf("key-%05d", i), fmt.Sprintf("value-%d", i)})
 	}
-	count, smallest, largest, size, err := b.finish()
+	writeCheckpointFile(t, dir, 1, pairs)
+	c, err := openCheckpoint(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != n || string(smallest) != "key-00000" || string(largest) != fmt.Sprintf("key-%05d", n-1) || size == 0 {
-		t.Fatalf("meta: count=%d smallest=%q largest=%q size=%d", count, smallest, largest, size)
+	defer c.close()
+	if c.count != n || len(c.index) < 2 {
+		t.Fatalf("count=%d blocks=%d, want %d entries in several blocks", c.count, len(c.index), n)
 	}
-	r, err := openTable(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.close()
-	for i := 0; i < n; i++ {
-		key := []byte(fmt.Sprintf("key-%05d", i))
-		v, kind, found, err := r.get(key)
-		if err != nil || !found {
-			t.Fatalf("get %q: found=%v err=%v", key, found, err)
-		}
-		if i%7 == 0 {
-			if kind != kindDelete {
-				t.Fatalf("%q should be tombstone", key)
-			}
-		} else if kind != kindPut || string(v) != fmt.Sprintf("value-%d", i) {
-			t.Fatalf("%q = %q (%v)", key, v, kind)
+	for _, p := range pairs {
+		v, found, err := c.get([]byte(p[0]))
+		if err != nil || !found || string(v) != p[1] {
+			t.Fatalf("get %q: %q %v %v", p[0], v, found, err)
 		}
 	}
-	if _, _, found, _ := r.get([]byte("absent")); found {
-		t.Fatal("found absent key")
+	for _, absent := range []string{"a", "key-000005", "zzz"} {
+		if _, found, err := c.get([]byte(absent)); found || err != nil {
+			t.Fatalf("get %q: found=%v err=%v", absent, found, err)
+		}
 	}
-	if _, _, found, _ := r.get([]byte("a")); found {
-		t.Fatal("found key before table range")
-	}
-	// Full iteration in order.
-	it := r.iterator()
-	it.seekToFirst()
-	var prev []byte
+	it := c.iter(nil, nil)
 	total := 0
 	for it.next() {
-		if prev != nil && bytes.Compare(prev, it.key()) >= 0 {
-			t.Fatalf("iterator out of order: %q then %q", prev, it.key())
+		if string(it.key) != pairs[total][0] || string(it.val) != pairs[total][1] {
+			t.Fatalf("entry %d = %q/%q", total, it.key, it.val)
 		}
-		prev = append(prev[:0], it.key()...)
 		total++
 	}
-	if it.err != nil {
-		t.Fatal(it.err)
+	if it.err != nil || total != n {
+		t.Fatalf("iterated %d entries (%v), want %d", total, it.err, n)
 	}
-	if total != n {
-		t.Fatalf("iterated %d entries, want %d", total, n)
+	for start, want := range map[string]string{"key-00500": "key-00500", "key-005001": "key-00501", "": "key-00000"} {
+		it := c.iter([]byte(start), nil)
+		if !it.next() || string(it.key) != want {
+			t.Fatalf("seek %q landed on %q, want %q", start, it.key, want)
+		}
 	}
-	// Seek semantics.
-	it.seek([]byte("key-00500"))
-	if !it.next() || string(it.key()) != "key-00500" {
-		t.Fatalf("seek landed on %q", it.key())
-	}
-	it.seek([]byte("key-005001")) // between keys
-	if !it.next() || string(it.key()) != "key-00501" {
-		t.Fatalf("between-keys seek landed on %q", it.key())
-	}
-	it.seek([]byte("zzz"))
-	if it.next() {
+	if it := c.iter([]byte("zzz"), nil); it.next() {
 		t.Fatal("seek past end should exhaust")
 	}
 }
 
 func TestSSTableRejectsOutOfOrder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.sst")
-	b, err := newTableBuilder(path, 256)
-	if err != nil {
+	cw := newCkptWriter(&bytes.Buffer{})
+	if err := cw.add([]byte("b"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	b.add([]byte("b"), []byte("1"), kindPut)
-	b.add([]byte("a"), []byte("2"), kindPut)
-	if _, _, _, _, err := b.finish(); err == nil {
+	if err := cw.add([]byte("a"), []byte("2")); err == nil {
 		t.Fatal("expected out-of-order error")
+	}
+	cw = newCkptWriter(&bytes.Buffer{})
+	cw.add([]byte("a"), nil)
+	if err := cw.add([]byte("a"), nil); err == nil {
+		t.Fatal("expected duplicate-key error")
 	}
 }
 
 func TestSSTableCorruptFooter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "t.sst")
-	b, err := newTableBuilder(path, 256)
+	dir := t.TempDir()
+	writeCheckpointFile(t, dir, 1, [][2]string{{"a", "1"}})
+	path := ckptPath(dir, 1)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.add([]byte("a"), []byte("1"), kindPut)
-	if _, _, _, _, err := b.finish(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff // clobber magic
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openTable(path, 0, nil); err == nil {
-		t.Fatal("expected corruption error")
-	}
-}
-
-func TestMemtableOrderAndOverwrite(t *testing.T) {
-	m := newMemtable()
-	for _, k := range []string{"d", "a", "c", "b"} {
-		m.set([]byte(k), []byte("v-"+k), kindPut)
-	}
-	m.set([]byte("b"), []byte("v2"), kindPut)
-	if m.len() != 4 {
-		t.Fatalf("len = %d", m.len())
-	}
-	it := m.iterator()
-	var keys []string
-	for it.seekToFirst(); it.valid(); it.next() {
-		keys = append(keys, string(it.key()))
-	}
-	if fmt.Sprint(keys) != "[a b c d]" {
-		t.Fatalf("order: %v", keys)
-	}
-	v, kind, found := m.get([]byte("b"))
-	if !found || kind != kindPut || string(v) != "v2" {
-		t.Fatalf("get b: %q %v %v", v, kind, found)
-	}
-	m.set([]byte("b"), nil, kindDelete)
-	if _, kind, found := m.get([]byte("b")); !found || kind != kindDelete {
-		t.Fatal("tombstone lost")
-	}
-}
-
-func TestPropertyMemtableMatchesModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := newMemtable()
-		model := map[string]string{}
-		for i := 0; i < 500; i++ {
-			k := fmt.Sprintf("k%02d", rng.Intn(30))
-			if rng.Intn(3) == 0 {
-				m.set([]byte(k), nil, kindDelete)
-				delete(model, k)
-			} else {
-				v := fmt.Sprintf("v%d", i)
-				m.set([]byte(k), []byte(v), kindPut)
-				model[k] = v
-			}
+	// Clobber the magic, then the entry count (covered by the footer CRC).
+	for _, off := range []int{len(good) - 1, len(good) - ckptFooterLen + 16} {
+		data := bytes.Clone(good)
+		data[off] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		for k, want := range model {
-			v, kind, found := m.get([]byte(k))
-			if !found || kind != kindPut || string(v) != want {
-				return false
-			}
+		if _, err := openCheckpoint(dir, 1); err == nil {
+			t.Fatalf("footer byte %d corrupted: expected an error", off)
 		}
-		// Iterator sorted and complete (tombstones included).
-		it := m.iterator()
-		var prev []byte
-		for it.seekToFirst(); it.valid(); it.next() {
-			if prev != nil && bytes.Compare(prev, it.key()) >= 0 {
-				return false
-			}
-			prev = append(prev[:0], it.key()...)
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestWALBatchCodec(t *testing.T) {
-	ops := []walOp{
-		{kind: kindPut, key: []byte("a"), value: []byte("1")},
-		{kind: kindDelete, key: []byte("b")},
-		{kind: kindPut, key: []byte{}, value: []byte{}},
+	ops := []kv.Op{
+		{Kind: kv.OpPut, Key: []byte("a"), Value: []byte("1")},
+		{Kind: kv.OpDelete, Key: []byte("b")},
+		{Kind: kv.OpPut, Key: []byte{}, Value: []byte{}},
 	}
 	payload := encodeBatchPayload(nil, ops)
-	got, err := decodeBatchPayload(payload)
+	got, err := decodeBatchPayload(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,11 +758,11 @@ func TestWALBatchCodec(t *testing.T) {
 		t.Fatalf("decoded %d ops", len(got))
 	}
 	for i := range ops {
-		if got[i].kind != ops[i].kind || !bytes.Equal(got[i].key, ops[i].key) || !bytes.Equal(got[i].value, ops[i].value) {
+		if got[i].Kind != ops[i].Kind || !bytes.Equal(got[i].Key, ops[i].Key) || !bytes.Equal(got[i].Value, ops[i].Value) {
 			t.Fatalf("op %d mismatch: %+v vs %+v", i, got[i], ops[i])
 		}
 	}
-	if _, err := decodeBatchPayload([]byte{0xff}); err == nil {
+	if _, err := decodeBatchPayload(nil, []byte{0xff}); err == nil {
 		t.Fatal("expected decode error on garbage")
 	}
 }
@@ -770,22 +794,20 @@ func TestApplyBatchAtomicityAcrossReopen(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	d := testDB(t, smallOpts())
+	d := smallDB(t)
 	for i := 0; i < 2000; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("key-%05d", i)), bytes.Repeat([]byte("x"), 20)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitFolds(d)
 	st := d.Stats()
-	if st.Flushes == 0 {
-		t.Fatal("expected flushes")
+	if st.Flushes == 0 || st.CheckpointBytes == 0 || st.LiveSegments == 0 || st.Compactions != 0 {
+		t.Fatalf("unexpected stats %+v", st)
 	}
-	total := 0
-	for _, n := range st.LevelFiles {
-		total += n
-	}
-	if total == 0 {
-		t.Fatal("expected table files")
+	fi, err := os.Stat(filepath.Join(d.dir, ckptName(d.ckpt.num)))
+	if err != nil || fi.Size() != st.CheckpointBytes {
+		t.Fatalf("checkpoint file %v, stats say %d bytes", err, st.CheckpointBytes)
 	}
 }
 
@@ -803,6 +825,28 @@ func BenchmarkPutAsync(b *testing.B) {
 			key[j] = byte(i >> (8 * j))
 		}
 		if err := d.Put(key, val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplyBatch is the engine's commit shape: 73-op batches of
+// 12-byte keys and 20-byte values, no sync.
+func BenchmarkApplyBatch(b *testing.B) {
+	d, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	batch := kv.NewBatch(73)
+	val := bytes.Repeat([]byte("v"), 20)
+	for j := 0; j < 73; j++ {
+		batch.Put([]byte(fmt.Sprintf("s/t/k%07d", j)), val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.Apply(batch, false); err != nil {
 			b.Fatal(err)
 		}
 	}

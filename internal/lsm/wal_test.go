@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sistream/internal/kv"
 )
 
 // writeTestWAL appends n single-put records ("k<i>" -> "v<i>") and
@@ -20,16 +22,16 @@ func writeTestWAL(t *testing.T, n int) (path string, offsets []int64) {
 	}
 	var off int64
 	for i := 0; i < n; i++ {
-		payload := encodeBatchPayload(nil, []walOp{{
-			kind:  kindPut,
-			key:   []byte(fmt.Sprintf("k%d", i)),
-			value: []byte(fmt.Sprintf("v%d", i)),
-		}})
 		offsets = append(offsets, off)
-		if err := w.append(payload, false); err != nil {
+		n, err := w.appendBatch([]kv.Op{{
+			Kind:  kv.OpPut,
+			Key:   []byte(fmt.Sprintf("k%d", i)),
+			Value: []byte(fmt.Sprintf("v%d", i)),
+		}}, false)
+		if err != nil {
 			t.Fatal(err)
 		}
-		off += 8 + int64(len(payload))
+		off += int64(n)
 	}
 	if err := w.close(); err != nil {
 		t.Fatal(err)
@@ -40,9 +42,9 @@ func writeTestWAL(t *testing.T, n int) (path string, offsets []int64) {
 // replayKeys replays the log and returns the keys applied, in order.
 func replayKeys(path string) ([]string, error) {
 	var keys []string
-	_, err := replayWAL(path, func(ops []walOp) error {
+	_, err := replayWAL(path, func(ops []kv.Op) error {
 		for _, op := range ops {
-			keys = append(keys, string(op.key))
+			keys = append(keys, string(op.Key))
 		}
 		return nil
 	})

@@ -14,7 +14,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
+
+	"sistream/internal/kv"
 )
 
 // WALEntry is one decoded operation of a dumped WAL record: an update of
@@ -56,18 +57,24 @@ type WALDumpStats struct {
 // record validates (length plausible, payload present, CRC and batch
 // encoding valid — a false positive is practically impossible), counts
 // the corruption and continues. The whole file is read into memory, so
-// the tool handles the multi-MiB logs one memtable generation produces,
+// the tool handles segments of the size the fold threshold produces,
 // not arbitrarily large files.
 func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry) bool) (WALDumpStats, error) {
-	var st WALDumpStats
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return st, err
+		return WALDumpStats{}, err
 	}
+	return dumpSegment(data, skipCorrupt, fn)
+}
+
+// dumpSegment is DumpWAL over a segment's bytes.
+func dumpSegment(data []byte, skipCorrupt bool, fn func(offset int64, ops []WALEntry) bool) (WALDumpStats, error) {
+	var st WALDumpStats
+	var scratch []kv.Op
 	// validRecordAt decodes the record starting at off, returning its
 	// total framed length and operations, or ok=false when anything about
 	// it is broken.
-	validRecordAt := func(off int64) (ops []walOp, framed int64, ok bool) {
+	validRecordAt := func(off int64) (ops []kv.Op, framed int64, ok bool) {
 		if off+8 > int64(len(data)) {
 			return nil, 0, false
 		}
@@ -81,7 +88,8 @@ func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry
 		// this runs at every candidate offset, and random bytes fail the
 		// batch framing within a few bytes (kind must be 1 or 2, varints
 		// must fit) while the CRC always walks the whole payload.
-		ops, err := decodeBatchPayload(payload)
+		ops, err := decodeBatchPayload(scratch[:0], payload)
+		scratch = ops
 		if err != nil {
 			return nil, 0, false
 		}
@@ -145,7 +153,7 @@ func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry
 		}
 		out = out[:0]
 		for _, op := range ops {
-			out = append(out, WALEntry{Key: op.key, Value: op.value, Delete: op.kind == kindDelete})
+			out = append(out, WALEntry{Key: op.Key, Value: op.Value, Delete: op.Kind == kv.OpDelete})
 		}
 		st.Records++
 		st.Ops += len(ops)
@@ -157,17 +165,16 @@ func DumpWAL(path string, skipCorrupt bool, fn func(offset int64, ops []WALEntry
 	return st, nil
 }
 
-// WALFiles lists the write-ahead log files of a database directory,
-// oldest first (by file number). It reads only the directory listing; no
-// DB is opened.
+// WALFiles lists the log segments of a database directory, oldest first
+// (by file number), including folded ones a crash left behind. It reads
+// only the directory listing; no DB is opened.
 func WALFiles(dir string) ([]string, error) {
-	wals, _, _, err := listFiles(dir)
+	files, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(wals, func(i, j int) bool { return wals[i] < wals[j] })
-	paths := make([]string, len(wals))
-	for i, num := range wals {
+	paths := make([]string, len(files.wals))
+	for i, num := range files.wals {
 		paths[i] = walPath(dir, num)
 	}
 	return paths, nil

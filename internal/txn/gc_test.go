@@ -2,6 +2,8 @@ package txn
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,4 +342,123 @@ func TestGCSweeperDisabledRetainsVersions(t *testing.T) {
 	if rv := tbl.ResidentVersions(); rv != 100 {
 		t.Fatalf("resident versions = %d, want 100 (all versions retained without the sweeper)", rv)
 	}
+}
+
+// TestGCSweepHorizonVsInFlightCommit is the regression for the sweeper
+// horizon racing an in-flight commit. With nothing pinned,
+// OldestActiveVersion is the clock, which runs ahead of the published
+// LastCTS while a leader sits between installing its batch and
+// publishing it. A sweep by the previous leader (after it released the
+// latch) could then take a horizon above the cut a snapshot is about to
+// pin, and reclaim the version that snapshot must read. S2PL writers pin
+// no snapshot, so only the readers' pins protect versions here. The two
+// writers own disjoint keys, so their commits overlap instead of
+// queueing on locks; each transaction rewrites all of its writer's keys
+// with one value, and every snapshot must find every key, with one value
+// per writer.
+func TestGCSweepHorizonVsInFlightCommit(t *testing.T) {
+	ctx := NewContext()
+	store := kv.NewMem()
+	defer store.Close()
+	tbl, err := ctx.CreateTable("hot", store, TableOptions{VersionSlots: 8, GCEveryCommits: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.CreateGroup("g", tbl); err != nil {
+		t.Fatal(err)
+	}
+	p := NewS2PL(ctx)
+	keys := [2][]string{{"a0", "b0", "c0"}, {"a1", "b1", "c1"}}
+	write := func(w int, v string) error {
+		tx, err := p.Begin()
+		if err != nil {
+			return err
+		}
+		for _, k := range keys[w] {
+			if err := p.Write(tx, tbl, k, []byte(v)); err != nil {
+				p.Abort(tx)
+				return err
+			}
+		}
+		return p.Commit(tx)
+	}
+	for w := range keys {
+		if err := write(w, "init"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const writes = 3000
+	var wg sync.WaitGroup
+	writeErrs := make(chan error, 2)
+	for w := range keys {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				if err := write(w, fmt.Sprintf("w%d-%d", w, i)); err != nil {
+					writeErrs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var snaps atomic.Int64
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, err := ctx.Snapshot(tbl)
+				if err != nil {
+					errs <- err
+					return
+				}
+				snaps.Add(1)
+				for _, set := range keys {
+					var first []byte
+					for i, k := range set {
+						v, ok, err := snap.Get(tbl, k)
+						if err != nil || !ok {
+							errs <- fmt.Errorf("snapshot at cts %d: Get(%q) = %v, %v: the version it must read was reclaimed", snap.CTS(), k, ok, err)
+							snap.Release()
+							return
+						}
+						if i == 0 {
+							first = v
+						} else if string(v) != string(first) {
+							errs <- fmt.Errorf("snapshot at cts %d: %q=%q but %q=%q", snap.CTS(), set[0], first, k, v)
+							snap.Release()
+							return
+						}
+					}
+				}
+				snap.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	close(writeErrs)
+	for err := range writeErrs {
+		t.Fatal(err)
+	}
+	for err := range errs {
+		t.Fatal(err)
+	}
+	gc := tbl.GCStats()
+	if gc.Runs == 0 || gc.ReclaimedSlots == 0 || snaps.Load() == 0 {
+		t.Fatalf("nothing raced: %d sweeps reclaiming %d versions, %d snapshots", gc.Runs, gc.ReclaimedSlots, snaps.Load())
+	}
+	t.Logf("%d sweeps reclaimed %d versions under %d snapshots", gc.Runs, gc.ReclaimedSlots, snaps.Load())
 }

@@ -128,7 +128,9 @@ type (
 type (
 	// Store is the key-value base-table interface.
 	Store = kv.Store
-	// LSMOptions configures the persistent store.
+	// LSMOptions configures the persistent store: a write-ahead log plus
+	// one checkpoint folded from it in the background. Its only setting
+	// is SyncWrites; the fold threshold follows the checkpoint's size.
 	LSMOptions = lsm.Options
 	// StoreCapabilities are the per-backend capability flags a storage
 	// adapter declares (Durable, Persistent, SupportsSync); the
@@ -219,7 +221,8 @@ var (
 
 	// NewMemStore creates a volatile in-memory base table.
 	NewMemStore = func() Store { return kv.NewMem() }
-	// OpenLSM opens (creating if needed) a persistent LSM base table.
+	// OpenLSM opens (creating if needed) a persistent base table (see
+	// LSMOptions).
 	OpenLSM = func(dir string, opts LSMOptions) (Store, error) { return lsm.Open(dir, opts) }
 	// OpenStore resolves a backend spec through the storage adapter
 	// registry and opens the chain: "mem", "lsm:<dir>",
